@@ -1,4 +1,4 @@
-"""The async server: the WorkerPool's ladder as a coroutine, with admission.
+"""The async server: the serving ladder's asyncio driver, with admission.
 
 Dataflow of one request::
 
@@ -9,30 +9,23 @@ Dataflow of one request::
                  └─ budget full, queue full ──► typed rejection
                                                 (AdmissionRejectedError,
                                                  outcome="rejected")
-    dispatch ──► cache lookup ── hit ──► response
-             └─ miss: circuit breaker allow?
-                   │  per-attempt deadline (handler seam)
-                   │  bounded retries (reseeded, async backoff)
-                   │  exhausted → forced direct answer
-                   │  even that failed → classified error
-                   ▼
-                cache store ──► response
+    dispatch ──► ServingLadder: cache → breaker → reseeded attempts →
+                 backoff → reflexion rung → forced direct answer →
+                 classified error ──► response
 
-The retry/breaker/degradation ladder is a line-for-line mirror of
-:meth:`repro.serving.pool.WorkerPool._answer_inner` — same attempt
-seeds, same breaker protocol, same optional reflexion rung (the shared
-:class:`~repro.serving.policy.ReflectionRung`, run thread-side), same
-degraded rung (no deadline, request seed), same
-:func:`~repro.serving.policy.classify_failure` taxonomy —
-so the two paths return bit-identical responses for the same requests
-(``tests/aio/test_parity.py``).  What changes is the execution substrate:
+The ladder is :class:`~repro.serving.ladder.ServingLadder`, the same
+sans-IO generator :class:`~repro.serving.pool.WorkerPool` drives from
+its worker threads, so the two paths return bit-identical responses for
+the same requests (``tests/aio/test_parity.py``).  This module is the
+ladder's asyncio driver plus the substrate around it:
 
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
 * chain runners (greedy and s-vote) are driven through a per-attempt
   :class:`~repro.aio.batcher.ContinuousBatcher` (voted chains coalesce
   their ticks, the ``REPRO_BATCH_SCHEDULER`` contract); blocking
-  tree/execution voters run in worker threads via ``asyncio.to_thread``;
+  tree/execution voters, the reflexion rung and the degraded rung run
+  in worker threads via ``asyncio.to_thread``; backoff is awaited;
 * admission order under backlog is per-tenant weighted fair queueing
   (:class:`~repro.aio.fairness.WeightedFairQueue`), not FIFO: one chatty
   tenant cannot starve the rest;
@@ -43,20 +36,20 @@ so the two paths return bit-identical responses for the same requests
 
 Deadlines ride the :class:`~repro.aio.handler.AsyncEffectHandler` seam
 (checked at every model boundary), so they bind to *every* chain runner —
-no ``runner.model`` monkey-patching; the thread-dispatched voters keep
-the pool's :class:`~repro.serving.policy.DeadlineModel` wrap with the
-same loud ``deadline_unattached`` metric when a runner can't carry one.
+no ``runner.model`` monkey-patching; the thread-dispatched voters get
+the ladder's :meth:`~repro.serving.ladder.ServingLadder.bind_deadline`,
+the same as the pool's runners.
 
 Telemetry: each request's span tree (``request`` → ``attempt`` →
 ``agent_run``/``vote_run`` → ``model_call``) lives in its own asyncio
-task context, so trees stay correctly nested while hundreds of requests
+task context — the ladder generator is resumed only from its request's
+task — so trees stay correctly nested while hundreds of requests
 interleave on one loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.aio.batcher import ContinuousBatcher
 from repro.aio.driver import drive_chain
@@ -64,26 +57,18 @@ from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
 from repro.errors import (
     AdmissionRejectedError,
-    CircuitOpenError,
     ExecutionError,
     QueueClosedError,
     ServingError,
-    ServingTimeoutError,
-    is_retryable,
 )
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
-from repro.serving.cache import AnswerCache, CachedAnswer, request_fingerprint
+from repro.serving.cache import AnswerCache
+from repro.serving.ladder import RunAttempt, ServingLadder, Sleep
 from repro.serving.metrics import ServingMetrics
-from repro.serving.policy import (
-    DeadlineModel,
-    ReflectionRung,
-    ReflectPolicy,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import TQARequest, TQAResponse
 from repro.table.frame import DataFrame
-from repro.telemetry.spans import Telemetry, activate, span
+from repro.telemetry.spans import Telemetry, span
 
 __all__ = ["AsyncServer"]
 
@@ -123,47 +108,31 @@ class AsyncServer:
             raise ValueError("max_inflight must be >= 1")
         if max_queued is not None and max_queued < 0:
             raise ValueError("max_queued must be >= 0 (or None)")
+        self.ladder = ServingLadder(
+            spec, cache=cache, policy=policy, metrics=metrics,
+            tracer=tracer, telemetry=telemetry, breakers=breakers,
+            reflect=reflect)
         self.spec = spec
         self.max_inflight = max_inflight
         self.max_queued = max_queued
         self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
+        self.policy = self.ladder.policy
+        self.metrics = self.ladder.metrics
         self.tracer = tracer
-        if telemetry is None and tracer is not None:
-            telemetry = getattr(tracer, "telemetry", None)
-        self.telemetry = telemetry
+        self.telemetry = self.ladder.telemetry
+        self.reflect_policy = self.ladder.reflect_policy
         self.queue = WeightedFairQueue(weights=tenant_weights)
-        # The reflexion rung, shared-policy with the pool (``None``
-        # defers to ``REPRO_REFLECT=1``).
-        if reflect is None:
-            reflect = ReflectPolicy.from_env()
-        elif reflect is True:
-            reflect = ReflectPolicy()
-        elif reflect is False:
-            reflect = None
-        self.reflect_policy = reflect
-        self._reflect_rung: ReflectionRung | None = None
-        if reflect is not None:
-            self._reflect_rung = ReflectionRung(
-                spec, self.policy, reflect, metrics=self.metrics)
         self.on_complete = on_complete
         self._sleep = sleep
         self._active = 0
         self._inflight: dict[str, asyncio.Future] = {}
         self._request_counter = 0
         self._closed = False
-        self._breaker: CircuitBreaker | None = None
-        if breakers is not None:
-            backend = getattr(spec, "profile", None) or "default"
-            self._breaker = CircuitBreaker(
-                backend, config=breakers,
-                on_transition=self._on_breaker_transition)
 
     @property
     def breaker(self) -> CircuitBreaker | None:
         """The spec backend's circuit breaker (``None`` when disabled)."""
-        return self._breaker
+        return self.ladder.breaker
 
     @property
     def active(self) -> int:
@@ -223,19 +192,19 @@ class AsyncServer:
         self._request_counter += 1
         chain = self._request_counter
         uid = request.uid or f"req-{chain}"
-        key = None
-        if self.cache is not None:
-            key = request_fingerprint(request, config=self.spec.config_key)
+        key = self.ladder.fingerprint(request)
+        if key is not None:
             # Coalesce onto an identical in-flight computation.  shield():
             # one cancelled duplicate must not cancel the shared primary.
             primary = self._inflight.get(key)
             if primary is not None:
                 self.metrics.record_coalesced()
-                self._trace(chain, "coalesce", uid=uid)
+                self.ladder.trace(chain, "coalesce", uid=uid)
                 response = await asyncio.shield(primary)
                 return response.replica(uid, coalesced=True)
             self._inflight[key] = asyncio.get_running_loop().create_future()
-        self._trace(chain, "enqueue", uid=uid, question=request.question)
+        self.ladder.trace(chain, "enqueue", uid=uid,
+                          question=request.question)
         # Admission: run now, park fairly, or shed.  All bookkeeping up
         # to an ``await`` is atomic (single event loop, no locks).
         if self._active >= self.max_inflight:
@@ -250,29 +219,23 @@ class AsyncServer:
                 # Resolved by _pump() once a slot frees (the slot is
                 # charged to us before the wake-up).
                 await gate
-            except BaseException:
+            except BaseException as exc:
                 if (gate.done() and not gate.cancelled()
                         and gate.exception() is None):
                     self._release_slot()
-                self._drop_inflight(key)
+                self._drop_inflight(key, exc)
                 raise
-            self._trace(chain, "admit", uid=uid, tenant=request.tenant,
-                        queue_depth=len(self.queue))
+            self.ladder.trace(chain, "admit", uid=uid,
+                              tenant=request.tenant,
+                              queue_depth=len(self.queue))
         else:
             self._active += 1
             self.metrics.record_submit(len(self.queue))
-        self._trace(chain, "dispatch", uid=uid, queue_depth=len(self.queue))
+        self.ladder.trace(chain, "dispatch", uid=uid,
+                          queue_depth=len(self.queue))
         response: TQAResponse | None = None
         try:
-            try:
-                response = await self._answer(chain, uid, key, request)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # last-resort: always classify
-                response = TQAResponse(
-                    uid=uid, answer=[],
-                    error=f"{type(exc).__name__}: {exc}",
-                    outcome=classify_failure(exc))
+            response = await self._answer(chain, uid, key, request)
         finally:
             if key is not None:
                 future = self._inflight.pop(key, None)
@@ -283,12 +246,12 @@ class AsyncServer:
                         future.cancel()
             self._release_slot()
         self.metrics.record_response(response)
-        self._trace(chain, "complete", uid=uid,
-                    answer=response.answer_text,
-                    cached=response.cached,
-                    degraded=response.degraded,
-                    outcome=response.outcome,
-                    latency=round(response.latency, 6))
+        self.ladder.trace(chain, "complete", uid=uid,
+                          answer=response.answer_text,
+                          cached=response.cached,
+                          degraded=response.degraded,
+                          outcome=response.outcome,
+                          latency=round(response.latency, 6))
         self._notify_complete(chain, request, response)
         return response
 
@@ -303,8 +266,8 @@ class AsyncServer:
                                error=message, outcome="rejected")
         self.metrics.record_rejection()
         self.metrics.record_response(response)
-        self._trace(chain, "rejected", uid=uid, tenant=request.tenant,
-                    queue_depth=len(self.queue))
+        self.ladder.trace(chain, "rejected", uid=uid, tenant=request.tenant,
+                          queue_depth=len(self.queue))
         self._notify_complete(chain, request, response)
         error = AdmissionRejectedError(message)
         error.response = response
@@ -333,167 +296,60 @@ class AsyncServer:
             self._active += 1      # charge the slot before the wake-up
             gate.set_result(None)
 
-    def _drop_inflight(self, key: str | None) -> None:
+    def _drop_inflight(self, key: str | None,
+                       error: BaseException | None = None) -> None:
+        """Forget ``key``; its coalesced duplicates see the primary's fate.
+
+        A primary that failed with an exception (e.g. the
+        :class:`QueueClosedError` of :meth:`close`) hands the same
+        exception to its duplicates; otherwise they are cancelled.
+        """
         if key is None:
             return
         future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
+        if future is None or future.done():
+            return
+        if isinstance(error, Exception):
+            future.set_exception(error)
+            future.exception()     # retrieved: duplicates are optional
+        else:
             future.cancel()
 
-    # --- tracing ------------------------------------------------------------
-
-    def _trace(self, chain: int, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit_for(chain, f"serving_{kind}", 0, **data)
-
-    def _on_breaker_transition(self, backend: str, old_state: str,
-                               new_state: str) -> None:
-        self.metrics.record_breaker_transition(old_state, new_state)
-        self._trace(0, "breaker_transition", backend=backend,
-                    old_state=old_state, new_state=new_state)
-
-    # --- the ladder (mirrors WorkerPool._answer_inner) ----------------------
+    # --- the ladder driver --------------------------------------------------
 
     async def _answer(self, chain: int, uid: str, key: str | None,
                       request: TQARequest) -> TQAResponse:
-        with activate(self.telemetry), \
-                span("request", trace_id=chain, uid=uid) as request_span:
-            response = await self._answer_inner(chain, uid, key, request)
-            if request_span is not None:
-                request_span.set(outcome=response.outcome,
-                                 cached=response.cached,
-                                 degraded=response.degraded,
-                                 attempts=response.attempts)
-            return response
-
-    async def _answer_inner(self, chain: int, uid: str, key: str | None,
-                            request: TQARequest) -> TQAResponse:
-        started = time.perf_counter()
-        if key is not None:
-            cached = self.cache.get(key)
-            hit = cached is not None
-            self.metrics.record_cache(hit)
-            self._trace(chain, "cache_hit" if hit else "cache_miss",
-                        uid=uid)
-            if hit:
-                return cached.to_response(
-                    uid, latency=time.perf_counter() - started)
-        result = None
-        last_error = ""
-        last_exc: Exception | None = None
-        attempts = 0
-        breaker = self._breaker
-        for attempt in range(self.policy.max_attempts):
-            if breaker is not None and not breaker.allow():
-                last_exc = CircuitOpenError(
-                    f"backend {breaker.backend!r} circuit is open")
-                last_error = str(last_exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempt + 1,
-                            backend=breaker.backend)
-                break
-            attempts = attempt + 1
-            seed = self.policy.attempt_seed(request.seed, attempt)
+        """Drive the ladder to its response, awaiting its effects."""
+        steps = self.ladder.answer(chain, uid, key, request)
+        reply = error = None
+        while True:
             try:
-                with span("attempt", index=attempts):
-                    result = await self._run_attempt(request, seed)
-                if breaker is not None:
-                    breaker.record_success()
-                break
-            except ServingTimeoutError as exc:
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_timeout()
-                self._trace(chain, "timeout", uid=uid, attempt=attempts)
-            except asyncio.CancelledError:
-                raise
-            except CircuitOpenError as exc:
-                # A circuit opened *mid-attempt*: account it as a
-                # rejection, not a fresh backend failure, and stop
-                # burning attempts — exactly the pool's treatment.
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempts, mid_attempt=True)
-                break
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                self._trace(chain, "error", uid=uid, attempt=attempts,
-                            error=last_error,
-                            retryable=is_retryable(exc))
-            if breaker is not None:
-                breaker.record_failure()
-            if attempt + 1 < self.policy.max_attempts:
-                self.metrics.record_retry()
-                self._trace(chain, "retry", uid=uid,
-                            next_attempt=attempts + 1)
-                delay = self.policy.backoff_delay(request.seed, attempt)
-                if delay > 0:
-                    self.metrics.record_backoff(delay)
-                    self._trace(chain, "backoff", uid=uid,
-                                delay=round(delay, 6))
-                    await self._sleep(delay)
-        reflections = 0
-        reflected = False
-        if self._reflect_rung is not None:
-            # The reflexion rung (thread-side: it drives the sync chain
-            # engines), sharing the pool's policy and accounting.
-            rung = self._reflect_rung
-            (result, reflections, reflected, last_exc,
-             last_error) = await asyncio.to_thread(
-                rung.attempt, request, result, last_exc,
-                last_error=last_error, attempts=attempts, breaker=breaker,
-                trace=lambda kind, **data: self._trace(
-                    chain, kind, uid=uid, **data))
-        degraded = False
-        if result is None and self.policy.degrade_on_exhaustion:
-            # The §3.3 fallback rung: forced direct answer, request seed,
-            # no deadline — exactly the pool's degraded contract.
-            degraded = True
-            self._trace(chain, "degraded", uid=uid)
+                effect = (steps.send(reply) if error is None
+                          else steps.throw(error))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
             try:
-                with span("degraded_attempt"):
-                    runner = self.spec.build_forced(request.seed)
-                    result = await asyncio.to_thread(
-                        runner.run, request.table, request.question)
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                result = None
-        if result is None:
-            return TQAResponse(uid=uid, answer=[], degraded=degraded,
-                               attempts=attempts, reflections=reflections,
-                               error=last_error,
-                               latency=time.perf_counter() - started,
-                               outcome=classify_failure(last_exc))
-        outcome = ("degraded" if degraded
-                   else "reflected" if reflected
-                   else "retried" if attempts > 1 else "ok")
-        response = TQAResponse(
-            uid=uid, answer=list(result.answer),
-            iterations=getattr(result, "iterations", 0),
-            forced=bool(getattr(result, "forced", False)) or degraded,
-            handling_events=list(
-                getattr(result, "handling_events", ()) or ()),
-            degraded=degraded, attempts=attempts, reflections=reflections,
-            error=last_error,
-            latency=time.perf_counter() - started, outcome=outcome)
-        if key is not None and not degraded:
-            self.cache.put(key, CachedAnswer.from_response(response))
-        return response
+                if isinstance(effect, RunAttempt):
+                    reply = await self._run_attempt(chain, uid, request,
+                                                    effect.seed)
+                elif isinstance(effect, Sleep):
+                    await self._sleep(effect.delay)
+                else:
+                    reply = await asyncio.to_thread(effect.call)
+            except BaseException as exc:
+                # Cancellation too: thrown in, it unwinds the ladder's
+                # spans in this task's context and propagates.
+                error = exc
 
-    # --- attempt dispatch ---------------------------------------------------
-
-    async def _run_attempt(self, request: TQARequest, seed: int):
+    async def _run_attempt(self, chain: int, uid: str, request: TQARequest,
+                           seed: int):
         """One seeded attempt, dispatched by runner capability.
 
         Chain runners (``engine_for`` / ``chain_engines``) are driven as
         coroutines through a per-attempt continuous batcher with the
         deadline on the handler seam; blocking voters (tree/execution)
-        keep the pool's thread-side path via ``asyncio.to_thread``.
+        take the pool's path in a worker thread via ``asyncio.to_thread``.
         """
         runner = self.spec.build(seed)
         deadline = self.policy.deadline()
@@ -524,16 +380,5 @@ class AsyncServer:
                     root.set(question=question[:120])
                 return await drive_chain(
                     runner.engine_for(table, question), batcher)
-        return await asyncio.to_thread(
-            self._run_blocking, runner, request, deadline)
-
-    def _run_blocking(self, runner, request: TQARequest, deadline):
-        """The pool's thread-side attempt for non-chain runners."""
-        if deadline is not None:
-            if hasattr(runner, "model"):
-                runner.model = DeadlineModel(runner.model, deadline)
-            else:
-                self.metrics.record_deadline_unattached()
-                self._trace(0, "deadline_unattached", uid=request.uid,
-                            runner=type(runner).__name__)
-        return runner.run(request.table, request.question)
+        self.ladder.bind_deadline(runner, deadline, chain, uid)
+        return await asyncio.to_thread(runner.run, table, question)

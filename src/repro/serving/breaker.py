@@ -10,7 +10,7 @@ circuit, the first failure re-opens it and restarts the cooldown.
 The breaker is thread-safe (every worker thread of a pool shares the same
 instance per backend) and clock-injectable for deterministic tests.
 State transitions are reported through ``on_transition(backend, old,
-new)`` so the pool can mirror them into
+new)`` so the serving ladder can mirror them into
 :class:`~repro.serving.metrics.ServingMetrics` and the trace.
 """
 

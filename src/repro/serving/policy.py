@@ -51,8 +51,8 @@ def classify_failure(exc: Exception | None) -> str:
     circuit is permanent from the *request's* point of view even though
     ``CircuitOpenError`` is marked non-retryable rather than transient:
     retrying inside the same request cannot close the circuit, so the
-    ladder must not spin on it.  Shared by the thread pool and the async
-    server so both classify identically.
+    ladder must not spin on it.  The one classification of the serving
+    ladder, so the thread pool and the async server classify identically.
     """
     if isinstance(exc, ServingTimeoutError):
         return "deadline_exceeded"
@@ -207,7 +207,7 @@ class ReflectPolicy:
 
 
 class ReflectionRung:
-    """The reflexion rung shared by both serving ladders.
+    """The reflexion rung of the serving ladder.
 
     Sits between the retry ladder and the degradation rung: given
     whatever the attempts left behind (a weak result, or the exception

@@ -1,44 +1,32 @@
-"""The worker pool: N concurrent agents behind one bounded queue.
+"""The worker pool: N concurrent agent threads behind one bounded queue.
 
 Dataflow of one request::
 
     submit ──► [coalesce onto identical in-flight request?]
            ──► RequestQueue ──► worker thread
-                                  ├─ AnswerCache lookup ── hit ──► response
-                                  └─ miss: circuit breaker allow?
-                                        │  fresh agent (request seed)
-                                        │  attempt deadline (DeadlineModel)
-                                        │  bounded retries (reseeded,
-                                        │    deterministic backoff)
-                                        │  exhausted → forced direct answer
-                                        │  even that failed → classified
-                                        │    error (taxonomy)
+                                  └─ ServingLadder: cache → breaker →
+                                     reseeded attempts → backoff →
+                                     reflexion rung → forced direct
+                                     answer → classified error
                                         ▼
-                                     cache store ──► response
+                                     response
 
-Determinism: each attempt builds a fresh runner from the spec with a seed
-derived only from the request seed and attempt number, so responses do not
-depend on worker count or dispatch order.
+The ladder itself lives in :mod:`repro.serving.ladder`, shared with
+:class:`~repro.aio.server.AsyncServer`; this module is its thread
+driver.  A worker performs the ladder's effects inline: an attempt
+builds a fresh runner from the spec with a seed derived only from the
+request seed and attempt number (so responses do not depend on worker
+count or dispatch order), binds the attempt deadline to its model
+(:class:`~repro.serving.policy.DeadlineModel`) and runs it — voted
+runners through the sans-IO ``BatchScheduler`` when ``batch_scheduler``
+is set; backoff is ``time.sleep``; the reflexion and degraded rungs are
+plain calls.
 
-Every request terminates with a **classified outcome** on the degradation
-ladder (``ok`` → ``retried`` → ``reflected`` → ``degraded`` →
-``deadline_exceeded`` / ``error_transient`` / ``error_permanent``;
-see :data:`repro.serving.request.OUTCOMES`) — no
-exception escapes a worker.  The optional reflexion rung
-(``reflect=ReflectPolicy(...)`` or ``REPRO_REFLECT=1``; see
-:class:`~repro.serving.policy.ReflectionRung`) sits between the retry
-ladder and degradation: it harvests the failure, generates a verbal
-reflection through the effect seam, and re-runs the chains with the
-reflection injected into every prompt.  A per-backend
-:class:`~repro.serving.breaker.CircuitBreaker` (enabled via
-``breakers=BreakerConfig(...)``) fails requests fast while the backend is
-down instead of queueing retries behind it.
-
-Lifecycle events (``enqueue``, ``dispatch``, ``cache_hit``,
-``cache_miss``, ``coalesce``, ``timeout``, ``retry``, ``backoff``,
-``breaker_reject``, ``breaker_transition``, ``degraded``, ``error``,
-``complete``) are emitted to an optional
-:class:`~repro.tracing.ChainTracer`.
+Every request terminates with a **classified outcome** (see
+:data:`repro.serving.request.OUTCOMES`) — no exception escapes a
+worker.  Lifecycle events (``enqueue``, ``dispatch``, ``coalesce``,
+``complete`` here; the ladder's ``cache_hit`` … ``error``) are emitted
+to an optional :class:`~repro.tracing.ChainTracer`.
 """
 
 from __future__ import annotations
@@ -47,23 +35,12 @@ import os
 import threading
 import time
 
-from repro.errors import (
-    CircuitOpenError,
-    QueueClosedError,
-    ServingError,
-    ServingTimeoutError,
-    is_retryable,
-)
+from repro.errors import QueueClosedError, ServingError
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
-from repro.serving.cache import AnswerCache, CachedAnswer, request_fingerprint
+from repro.serving.cache import AnswerCache
+from repro.serving.ladder import RunAttempt, ServingLadder, Sleep
 from repro.serving.metrics import ServingMetrics
-from repro.serving.policy import (
-    DeadlineModel,
-    ReflectionRung,
-    ReflectPolicy,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import (
     PendingResponse,
     RequestQueue,
@@ -71,7 +48,7 @@ from repro.serving.request import (
     TQAResponse,
 )
 from repro.table.frame import DataFrame
-from repro.telemetry.spans import Telemetry, activate, span
+from repro.telemetry.spans import Telemetry
 
 __all__ = ["WorkerPool"]
 
@@ -103,18 +80,18 @@ class WorkerPool:
                  sleep=time.sleep):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.ladder = ServingLadder(
+            spec, cache=cache, policy=policy, metrics=metrics,
+            tracer=tracer, telemetry=telemetry, breakers=breakers,
+            reflect=reflect)
         self.spec = spec
         self.workers = workers
         self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
+        self.policy = self.ladder.policy
+        self.metrics = self.ladder.metrics
         self.tracer = tracer
-        # Span store for the request/attempt/agent tree.  Defaults to the
-        # tracer's store so flat serving events and hierarchical spans
-        # land in one trace file.
-        if telemetry is None and tracer is not None:
-            telemetry = getattr(tracer, "telemetry", None)
-        self.telemetry = telemetry
+        self.telemetry = self.ladder.telemetry
+        self.reflect_policy = self.ladder.reflect_policy
         # Batched-driver flag: voted runners that support the sans-IO
         # BatchScheduler (``use_scheduler``) coalesce their per-chain
         # model calls into batched completions.  ``None`` defers to the
@@ -123,19 +100,6 @@ class WorkerPool:
             batch_scheduler = (
                 os.environ.get("REPRO_BATCH_SCHEDULER", "0") == "1")
         self.batch_scheduler = batch_scheduler
-        # The reflexion rung: ``None`` defers to ``REPRO_REFLECT=1``,
-        # ``True`` arms the default policy, ``False`` forces it off.
-        if reflect is None:
-            reflect = ReflectPolicy.from_env()
-        elif reflect is True:
-            reflect = ReflectPolicy()
-        elif reflect is False:
-            reflect = None
-        self.reflect_policy = reflect
-        self._reflect_rung: ReflectionRung | None = None
-        if reflect is not None:
-            self._reflect_rung = ReflectionRung(
-                spec, self.policy, reflect, metrics=self.metrics)
         self.queue = RequestQueue(queue_capacity)
         self._sleep = sleep
         self._threads: list[threading.Thread] = []
@@ -143,17 +107,11 @@ class WorkerPool:
         self._inflight_lock = threading.Lock()
         self._request_counter = 0
         self._started = False
-        self._breaker: CircuitBreaker | None = None
-        if breakers is not None:
-            backend = getattr(spec, "profile", None) or "default"
-            self._breaker = CircuitBreaker(
-                backend, config=breakers,
-                on_transition=self._on_breaker_transition)
 
     @property
     def breaker(self) -> CircuitBreaker | None:
         """The spec backend's circuit breaker (``None`` when disabled)."""
-        return self._breaker
+        return self.ladder.breaker
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -200,9 +158,8 @@ class WorkerPool:
             self._request_counter += 1
             chain = self._request_counter
         uid = request.uid or f"req-{chain}"
-        key = None
-        if self.cache is not None:
-            key = request_fingerprint(request, config=self.spec.config_key)
+        key = self.ladder.fingerprint(request)
+        if key is not None:
             # Coalesce onto an identical in-flight computation: the
             # duplicate never reaches the queue.
             with self._inflight_lock:
@@ -211,33 +168,27 @@ class WorkerPool:
                     slot = PendingResponse()
                     primary.add_listener(slot, uid)
                     self.metrics.record_coalesced()
-                    self._trace(chain, "coalesce", uid=uid)
+                    self.ladder.trace(chain, "coalesce", uid=uid)
                     return slot
                 slot = PendingResponse()
                 self._inflight[key] = slot
         else:
             slot = PendingResponse()
-        self._trace(chain, "enqueue", uid=uid,
-                    question=request.question)
+        self.ladder.trace(chain, "enqueue", uid=uid,
+                          question=request.question)
         try:
             self.queue.put((chain, uid, key, request, slot))
-        except QueueClosedError:
+        except QueueClosedError as exc:
+            # The request never runs: resolve its coalesced duplicates
+            # with a classified rejection instead of leaving them hung.
             self._forget_inflight(key)
+            slot.set(TQAResponse(uid=uid, answer=[], attempts=0,
+                                 error=str(exc), outcome="rejected"))
             raise
         self.metrics.record_submit(self.queue.depth)
         return slot
 
     # --- worker internals ---------------------------------------------------
-
-    def _trace(self, chain: int, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit_for(chain, f"serving_{kind}", 0, **data)
-
-    def _on_breaker_transition(self, backend: str, old_state: str,
-                               new_state: str) -> None:
-        self.metrics.record_breaker_transition(old_state, new_state)
-        self._trace(0, "breaker_transition", backend=backend,
-                    old_state=old_state, new_state=new_state)
 
     def _forget_inflight(self, key: str | None) -> None:
         if key is None:
@@ -251,178 +202,46 @@ class WorkerPool:
                 chain, uid, key, request, slot = self.queue.get()
             except QueueClosedError:
                 return
-            self._trace(chain, "dispatch", uid=uid,
-                        queue_depth=self.queue.depth)
-            try:
-                response = self._answer(chain, uid, key, request)
-            except Exception as exc:  # last-resort: never drop a slot
-                response = TQAResponse(
-                    uid=uid, answer=[],
-                    error=f"{type(exc).__name__}: {exc}",
-                    outcome=self._classify_failure(exc))
+            self.ladder.trace(chain, "dispatch", uid=uid,
+                              queue_depth=self.queue.depth)
+            response = self._answer(chain, uid, key, request)
             slot.set(response)
             self._forget_inflight(key)
             self.metrics.record_response(response)
-            self._trace(chain, "complete", uid=uid,
-                        answer=response.answer_text,
-                        cached=response.cached,
-                        degraded=response.degraded,
-                        outcome=response.outcome,
-                        latency=round(response.latency, 6))
-
-    #: Terminal-error classification, shared with the async server so
-    #: both paths classify identically (differential parity contract).
-    _classify_failure = staticmethod(classify_failure)
+            self.ladder.trace(chain, "complete", uid=uid,
+                              answer=response.answer_text,
+                              cached=response.cached,
+                              degraded=response.degraded,
+                              outcome=response.outcome,
+                              latency=round(response.latency, 6))
 
     def _answer(self, chain: int, uid: str, key: str | None,
                 request: TQARequest) -> TQAResponse:
-        # One span per request roots the tree: the attempt ladder, the
-        # agent run inside it, and the SQL/Python stages below all nest
-        # under this span (and their token totals fold into it).
-        with activate(self.telemetry), \
-                span("request", trace_id=chain, uid=uid) as request_span:
-            response = self._answer_inner(chain, uid, key, request)
-            if request_span is not None:
-                request_span.set(outcome=response.outcome,
-                                 cached=response.cached,
-                                 degraded=response.degraded,
-                                 attempts=response.attempts)
-            return response
-
-    def _answer_inner(self, chain: int, uid: str, key: str | None,
-                      request: TQARequest) -> TQAResponse:
-        started = time.perf_counter()
-        if key is not None:
-            cached = self.cache.get(key)
-            hit = cached is not None
-            self.metrics.record_cache(hit)
-            self._trace(chain, "cache_hit" if hit else "cache_miss",
-                        uid=uid)
-            if hit:
-                return cached.to_response(
-                    uid, latency=time.perf_counter() - started)
-        result = None
-        last_error = ""
-        last_exc: Exception | None = None
-        attempts = 0
-        breaker = self._breaker
-        for attempt in range(self.policy.max_attempts):
-            if breaker is not None and not breaker.allow():
-                # Fail fast: no point burning reseeded attempts against
-                # an open circuit — drop to the degradation rung.
-                last_exc = CircuitOpenError(
-                    f"backend {breaker.backend!r} circuit is open")
-                last_error = str(last_exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempt + 1,
-                            backend=breaker.backend)
-                break
-            attempts = attempt + 1
-            seed = self.policy.attempt_seed(request.seed, attempt)
+        """Drive the ladder to its response, performing effects inline."""
+        steps = self.ladder.answer(chain, uid, key, request)
+        reply = error = None
+        while True:
             try:
-                with span("attempt", index=attempts):
-                    result = self._run_attempt(request, seed)
-                if breaker is not None:
-                    breaker.record_success()
-                break
-            except ServingTimeoutError as exc:
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_timeout()
-                self._trace(chain, "timeout", uid=uid, attempt=attempts)
-            except CircuitOpenError as exc:
-                # A circuit opened *mid-attempt* (e.g. a nested serving
-                # layer): account it as a rejection, not a fresh backend
-                # failure, and stop burning attempts — same treatment as
-                # the pre-attempt allow() refusal above.
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempts, mid_attempt=True)
-                break
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                self._trace(chain, "error", uid=uid, attempt=attempts,
-                            error=last_error,
-                            retryable=is_retryable(exc))
-            if breaker is not None:
-                breaker.record_failure()
-            if attempt + 1 < self.policy.max_attempts:
-                self.metrics.record_retry()
-                self._trace(chain, "retry", uid=uid,
-                            next_attempt=attempts + 1)
-                delay = self.policy.backoff_delay(request.seed, attempt)
-                if delay > 0:
-                    self.metrics.record_backoff(delay)
-                    self._trace(chain, "backoff", uid=uid,
-                                delay=round(delay, 6))
-                    self._sleep(delay)
-        reflections = 0
-        reflected = False
-        if self._reflect_rung is not None:
-            # The reflexion rung: harvest the failure, reflect verbally,
-            # re-run the chains with the reflection injected.
-            result, reflections, reflected, last_exc, last_error = (
-                self._reflect_rung.attempt(
-                    request, result, last_exc, last_error=last_error,
-                    attempts=attempts, breaker=breaker,
-                    trace=lambda kind, **data: self._trace(
-                        chain, kind, uid=uid, **data)))
-        degraded = False
-        if result is None and self.policy.degrade_on_exhaustion:
-            # The §3.3 fallback rung: one-iteration forced direct answer.
-            degraded = True
-            self._trace(chain, "degraded", uid=uid)
+                effect = (steps.send(reply) if error is None
+                          else steps.throw(error))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
             try:
-                with span("degraded_attempt"):
-                    result = self.spec.build_forced(request.seed).run(
-                        request.table, request.question)
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                result = None
-        if result is None:
-            # The final rung: a terminal error, classified.
-            return TQAResponse(uid=uid, answer=[], degraded=degraded,
-                               attempts=attempts, reflections=reflections,
-                               error=last_error,
-                               latency=time.perf_counter() - started,
-                               outcome=self._classify_failure(last_exc))
-        outcome = ("degraded" if degraded
-                   else "reflected" if reflected
-                   else "retried" if attempts > 1 else "ok")
-        response = TQAResponse(
-            uid=uid, answer=list(result.answer),
-            iterations=getattr(result, "iterations", 0),
-            forced=bool(getattr(result, "forced", False)) or degraded,
-            handling_events=list(
-                getattr(result, "handling_events", ()) or ()),
-            degraded=degraded, attempts=attempts, reflections=reflections,
-            error=last_error,
-            latency=time.perf_counter() - started, outcome=outcome)
-        # Only clean first-class results are reusable; degraded answers
-        # depend on wall-clock luck and must not poison the cache.
-        if key is not None and not degraded:
-            self.cache.put(key, CachedAnswer.from_response(response))
-        return response
+                if isinstance(effect, RunAttempt):
+                    reply = self._run_attempt(chain, uid, request,
+                                              effect.seed)
+                elif isinstance(effect, Sleep):
+                    self._sleep(effect.delay)
+                else:
+                    reply = effect.call()
+            except BaseException as exc:   # thrown into the ladder
+                error = exc
 
-    def _run_attempt(self, request: TQARequest, seed: int):
+    def _run_attempt(self, chain: int, uid: str, request: TQARequest,
+                     seed: int):
         runner = self.spec.build(seed)
         if self.batch_scheduler and hasattr(runner, "use_scheduler"):
             runner.use_scheduler = True
-        deadline = self.policy.deadline()
-        if deadline is not None:
-            if hasattr(runner, "model"):
-                runner.model = DeadlineModel(runner.model, deadline)
-            else:
-                # A configured timeout that cannot be enforced must not
-                # pass silently: the request would run unbounded.  Count
-                # it (alarmable) and trace it, then run anyway — shedding
-                # the request entirely would be worse than running it.
-                self.metrics.record_deadline_unattached()
-                self._trace(0, "deadline_unattached", uid=request.uid,
-                            runner=type(runner).__name__)
+        self.ladder.bind_deadline(runner, self.policy.deadline(), chain, uid)
         return runner.run(request.table, request.question)

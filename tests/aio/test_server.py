@@ -1,18 +1,25 @@
 """Tests for AsyncServer: admission control, fairness, ladder behaviour.
 
-The ladder itself (retries, degradation, classification) is pinned
-against the thread pool in ``test_parity.py``; here we exercise what the
-pool does not have — the bounded in-flight budget, typed rejection,
+The shared ladder itself (retries, degradation, classification) is
+unit-tested in ``tests/serving/test_ladder.py`` and pinned against the
+thread pool in ``test_parity.py``; here we exercise what the pool does
+not have — the bounded in-flight budget, typed rejection,
 fair-queue admission order, coalescing on one event loop, and the
 deadline seam binding to chain runners without a wrappable ``model``.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.aio import AsyncServer
-from repro.errors import AdmissionRejectedError, ServingError, is_retryable
+from repro.errors import (
+    AdmissionRejectedError,
+    QueueClosedError,
+    ServingError,
+    is_retryable,
+)
 from repro.serving import (
     AgentSpec,
     AnswerCache,
@@ -20,6 +27,7 @@ from repro.serving import (
     ServingMetrics,
     TQARequest,
 )
+from repro.tracing import ChainTracer
 
 
 def requests_for(bench, count, *, seed=1, tenant="default"):
@@ -192,6 +200,50 @@ class TestAdmissionControl:
         response = run(scenario())
         assert response.outcome == "ok"
 
+    def test_close_fails_coalesced_duplicates_like_their_primary(
+            self, wikitq_small):
+        """A duplicate coalesced onto a primary parked at close() raises
+        the primary's QueueClosedError, not a CancelledError."""
+        spec = AgentSpec(bank=wikitq_small.bank)
+        release = threading.Event()
+
+        class GatedSpec:
+            config_key = spec.config_key
+
+            def build(self, seed):
+                inner_runner = spec.build(seed)
+
+                class Blocked:
+                    def run(self, table, question):
+                        release.wait()       # inside asyncio.to_thread
+                        return inner_runner.run(table, question)
+
+                return Blocked()
+
+            def build_forced(self, seed):
+                return spec.build_forced(seed)
+
+        async def scenario():
+            server = AsyncServer(GatedSpec(), max_inflight=1,
+                                 max_queued=8, cache=AnswerCache(16))
+            first, second = requests_for(wikitq_small, 2)
+            running = asyncio.create_task(server.answer(first))
+            await asyncio.sleep(0.01)       # first occupies the slot
+            parked = asyncio.create_task(server.answer(second))
+            await asyncio.sleep(0.01)       # second parks in the queue
+            duplicate = asyncio.create_task(server.answer(second))
+            await asyncio.sleep(0.01)       # ...and the duplicate joins it
+            await server.close()
+            outcomes = await asyncio.gather(parked, duplicate,
+                                            return_exceptions=True)
+            release.set()
+            return outcomes, await running
+
+        (parked, duplicate), response = run(scenario())
+        assert isinstance(parked, QueueClosedError)
+        assert isinstance(duplicate, QueueClosedError)
+        assert response.outcome == "ok"
+
 
 class TestTenantFairness:
     def test_backlog_drains_in_weighted_order(self, wikitq_small):
@@ -358,9 +410,11 @@ class TestDeadlinesAndFailures:
             def build_forced(self, seed):
                 return spec.build_forced(seed)
 
+        tracer = ChainTracer()
+
         async def scenario():
             async with AsyncServer(
-                    NoSeamSpec(), metrics=metrics,
+                    NoSeamSpec(), metrics=metrics, tracer=tracer,
                     policy=RetryPolicy(timeout=30.0)) as server:
                 return await server.answer(
                     requests_for(wikitq_small, 1)[0])
@@ -368,3 +422,7 @@ class TestDeadlinesAndFailures:
         response = run(scenario())
         assert response.outcome == "ok"
         assert metrics.deadline_unattached == 1
+        # Traced on the request's own chain, not the global chain 0.
+        [unattached] = tracer.of_kind("serving_deadline_unattached")
+        [complete] = tracer.of_kind("serving_complete")
+        assert unattached.chain_id == complete.chain_id != 0

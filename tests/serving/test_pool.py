@@ -6,7 +6,11 @@ import time
 import pytest
 
 from repro.core import ReActTableAgent
-from repro.errors import ServingError, TransientModelError
+from repro.errors import (
+    QueueClosedError,
+    ServingError,
+    TransientModelError,
+)
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
 from repro.retry import ExponentialBackoff
@@ -159,6 +163,51 @@ class TestPoolCaching:
         assert metrics.coalesced == 1
         # The duplicate never ran a chain of its own.
         assert len(spec.built_seeds) == 1
+
+    def test_duplicate_of_unqueued_primary_is_rejected_at_close(
+            self, tiny_frame):
+        """A duplicate coalesced onto a primary still blocked on a full
+        queue resolves with a classified rejection when the queue
+        closes under the primary — it must not hang."""
+        entered = threading.Event()
+        release = threading.Event()
+        spec = StubSpec(lambda: BlockingModel(entered, release))
+        tracer = ChainTracer()
+        pool = WorkerPool(spec, workers=1, queue_capacity=1,
+                          cache=AnswerCache(16), tracer=tracer).start()
+        failures = []
+
+        def submit_primary():
+            try:
+                pool.submit(tiny_frame, "blocked?", uid="primary")
+            except QueueClosedError as exc:
+                failures.append(exc)
+
+        try:
+            pool.submit(tiny_frame, "running?")
+            assert entered.wait(10)            # the worker is busy
+            pool.submit(tiny_frame, "queued?")  # the queue is full
+            blocked = threading.Thread(target=submit_primary)
+            blocked.start()
+            # The primary is registered in flight before its enqueue
+            # event, then blocks in put().
+            give_up = time.monotonic() + 10
+            while tracer.counts().get("serving_enqueue", 0) < 3:
+                assert time.monotonic() < give_up
+                time.sleep(0.001)
+            duplicate = pool.submit(tiny_frame, "blocked?", uid="dup")
+            pool.queue.close()
+            blocked.join(10)
+            response = duplicate.result(timeout=2)
+        finally:
+            release.set()
+            pool.shutdown(wait=True)
+        assert [str(exc) for exc in failures] == ["queue is closed"]
+        assert response.uid == "dup"
+        assert response.outcome == "rejected"
+        assert response.attempts == 0
+        assert response.coalesced
+        assert response.error == "queue is closed"
 
 
 class TestPoolPolicy:
@@ -379,3 +428,28 @@ class TestPoolTracing:
         assert kinds["serving_timeout"] == 2
         assert kinds["serving_retry"] == 1
         assert kinds["serving_degraded"] == 1
+
+    def test_unattached_deadline_traced_on_request_chain(self, tiny_frame):
+        class OpaqueSpec(StubSpec):
+            """Runners with no ``model`` seam to carry a deadline."""
+
+            def build(self, seed):
+                inner = super().build(seed)
+
+                class Opaque:
+                    def run(self, table, question):
+                        return inner.run(table, question)
+
+                return Opaque()
+
+        tracer = ChainTracer()
+        metrics = ServingMetrics()
+        spec = OpaqueSpec(lambda: ScriptedModel([ANSWER]))
+        with WorkerPool(spec, workers=1, tracer=tracer, metrics=metrics,
+                        policy=RetryPolicy(timeout=30.0)) as pool:
+            response = pool.submit(tiny_frame, "opaque?").result(timeout=30)
+        assert response.outcome == "ok"
+        assert metrics.deadline_unattached == 1
+        [unattached] = tracer.of_kind("serving_deadline_unattached")
+        [complete] = tracer.of_kind("serving_complete")
+        assert unattached.chain_id == complete.chain_id != 0

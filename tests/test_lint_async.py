@@ -35,6 +35,22 @@ def test_lint_detects_time_sleep(tmp_path):
     assert "asyncio.sleep" in violations[0]
 
 
+def test_lint_scans_the_serving_ladder(tmp_path, monkeypatch):
+    """The async server resumes the shared ladder on the loop thread, so
+    a blocking call in ``serving/ladder.py`` is a loop violation too."""
+    lint = load_lint()
+    assert lint.LADDER.is_file()
+    rogue = tmp_path / "ladder.py"
+    rogue.write_text(
+        "def answer(self, delay):\n"
+        "    time.sleep(delay)\n"
+        "    yield None\n")
+    monkeypatch.setattr(lint, "LADDER", rogue)
+    violations = lint.find_violations()
+    assert len(violations) == 1
+    assert "ladder.py:2" in violations[0]
+
+
 def test_lint_detects_sync_model_calls(tmp_path):
     lint = load_lint()
     rogue = tmp_path / "rogue.py"

@@ -64,6 +64,23 @@ def test_lint_covers_the_reflect_rung_trace_callback(tmp_path, monkeypatch):
     assert not any("not_an_event_kind" in line for line in violations)
 
 
+def test_lint_covers_the_ladder_trace_helper(tmp_path, monkeypatch):
+    # Both serving drivers emit lifecycle events through the shared
+    # ServingLadder.trace helper, which adds the serving_ prefix.
+    lint = load_lint()
+    fake_src = tmp_path / "src" / "repro"
+    fake_src.mkdir(parents=True)
+    (fake_src / "rogue.py").write_text(
+        'def f(self, chain, uid):\n'
+        '    self.ladder.trace(chain, "undeclared_ladder_step", uid=uid)\n'
+        '    self.trace(chain, "retry", uid=uid)\n',
+        encoding="utf-8")
+    monkeypatch.setattr(lint, "SRC", fake_src)
+    violations = lint.find_violations()
+    assert len(violations) == 1
+    assert "serving_undeclared_ladder_step" in violations[0]
+
+
 def test_span_kinds_cannot_be_emitted_as_events(tmp_path, monkeypatch):
     lint = load_lint()
     fake_src = tmp_path / "src" / "repro"

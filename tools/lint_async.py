@@ -1,10 +1,12 @@
 """Lint the event loop: no blocking calls inside the async serving core.
 
 ``src/repro/aio/`` is cooperative — one blocked coroutine stalls every
-request on the loop.  The dangerous calls are easy to write and silent
-in tests (a 4 ms ``time.sleep`` passes every assertion and destroys tail
-latency in production), so this lint greps the package for known
-blocking primitives:
+request on the loop.  ``src/repro/serving/ladder.py`` is held to the
+same rules: the async server resumes the shared serving ladder on the
+loop thread, so its code is loop code too.  The dangerous calls are
+easy to write and silent in tests (a 4 ms ``time.sleep`` passes every
+assertion and destroys tail latency in production), so this lint greps
+those files for known blocking primitives:
 
 * ``time.sleep(`` — blocks the loop thread; use ``asyncio.sleep``;
 * ``queue.Queue`` / ``.get(timeout`` / ``threading.Condition`` /
@@ -33,6 +35,8 @@ import sys
 from pathlib import Path
 
 AIO = Path(__file__).resolve().parent.parent / "src" / "repro" / "aio"
+#: The serving ladder, run on the loop thread by the async driver.
+LADDER = AIO.parent / "serving" / "ladder.py"
 
 #: ``(pattern, message)`` — a match anywhere on a code line is a finding.
 _BLOCKING_PATTERNS: list[tuple[re.Pattern, str]] = [
@@ -95,10 +99,10 @@ def scan_file(path: Path) -> list[str]:
     return violations
 
 
-def find_violations(root: Path = AIO) -> list[str]:
-    """Blocking-call violations in the async core, one line each."""
+def find_violations() -> list[str]:
+    """Blocking-call violations in ``aio/`` and the ladder, one line each."""
     violations = []
-    for path in sorted(root.rglob("*.py")):
+    for path in [*sorted(AIO.rglob("*.py")), LADDER]:
         violations.extend(scan_file(path))
     return violations
 

@@ -8,10 +8,10 @@ emission sites:
 
 * ``tracer.emit("kind", ...)`` / ``tracer.emit_for(chain, "kind", ...)``
   / ``telemetry.event("kind", ...)`` — flat event kinds;
-* ``self._trace(chain, "kind", ...)`` — the serving pool helper, which
-  prefixes ``serving_``;
+* ``self.ladder.trace(chain, "kind", ...)`` (or a ``_trace`` alias) —
+  the serving ladder's helper, which prefixes ``serving_``;
 * ``trace("kind", ...)`` — the reflexion rung's injected trace callback,
-  bound by both ladders to their ``serving_``-prefixing helper;
+  which the ladder binds to that same ``serving_``-prefixing helper;
 * ``span("kind", ...)`` / ``telemetry.span("kind", ...)`` — span kinds;
 
 and fails on any string literal not present in ``telemetry.KINDS``
@@ -42,11 +42,11 @@ _EMIT_PATTERNS: list[tuple[re.Pattern, str, str]] = [
      "event", ""),
     # telemetry.event("kind", ...)
     (re.compile(r"\.event\(\s*['\"]([a-z_]+)['\"]"), "event", ""),
-    # pool._trace(chain, "kind", ...) — the helper adds the prefix.
-    (re.compile(r"\._trace\(\s*[^,()]+,\s*['\"]([a-z_]+)['\"]"),
+    # ladder.trace(chain, "kind", ...) — the helper adds the prefix.
+    (re.compile(r"\._?trace\(\s*[^,()]+,\s*['\"]([a-z_]+)['\"]"),
      "event", "serving_"),
     # trace("kind", ...) — the ReflectionRung's injected callback, which
-    # both ladders bind to their ``serving_``-prefixing _trace helper.
+    # the ladder binds to its ``serving_``-prefixing trace helper.
     (re.compile(r"(?<![._\w])trace\(\s*['\"]([a-z_]+)['\"]"),
      "event", "serving_"),
     # span("kind", ...) and telemetry.span("kind", ...).
