@@ -66,15 +66,7 @@ def test_perf_native_engine_group_query(benchmark, frame):
 
 
 def test_perf_native_engine_interpreted(benchmark, frame, monkeypatch):
-    """The tree-walking oracle path (REPRO_SQL_COMPILE=0) for comparison."""
-    monkeypatch.setenv("REPRO_SQL_COMPILE", "0")
-    catalog = {"T0": frame}
-    result = benchmark(lambda: execute_sql(GROUP_SQL, catalog))
-    assert result.num_rows == 8
-
-
-def test_perf_native_engine_row_compiled(benchmark, frame, monkeypatch):
-    """The row-compiled tier (REPRO_SQL_VECTOR=0) — the vector baseline."""
+    """The interpreter (REPRO_SQL_VECTOR=0): the vector tier's baseline."""
     monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
     catalog = {"T0": frame}
     result = benchmark(lambda: execute_sql(GROUP_SQL, catalog))
@@ -88,7 +80,7 @@ def test_perf_vector_filter_scan(benchmark, frame):
     assert result.num_rows > 0
 
 
-def test_perf_vector_filter_scan_row_compiled(benchmark, frame,
+def test_perf_vector_filter_scan_interpreted(benchmark, frame,
                                               monkeypatch):
     monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
     catalog = {"T0": frame}
@@ -103,7 +95,7 @@ def test_perf_vector_hash_join(benchmark):
     assert result.num_rows >= 600
 
 
-def test_perf_vector_hash_join_row_compiled(benchmark, monkeypatch):
+def test_perf_vector_hash_join_interpreted(benchmark, monkeypatch):
     monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
     catalog = _join_catalog()
     result = benchmark(lambda: execute_sql(JOIN_SQL, catalog))
@@ -117,7 +109,7 @@ def test_perf_vector_limit_scan(benchmark):
     assert result.num_rows == 5
 
 
-def test_perf_vector_limit_scan_row_compiled(benchmark, monkeypatch):
+def test_perf_vector_limit_scan_interpreted(benchmark, monkeypatch):
     monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
     catalog = {"T0": _large_frame(30_000)}
     result = benchmark(lambda: execute_sql(LIMIT_SQL, catalog))

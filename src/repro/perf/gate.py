@@ -3,9 +3,9 @@
 Two jobs, both runnable without pytest:
 
 1. **Correctness smoke** (rate-0-style): with every optimisation disabled
-   the engine must produce *identical* results — compiled vs interpreted
-   SQL, encode cache on vs off, plan cache on vs off.  This is the check
-   ``repro perf`` runs as a tier-1-adjacent smoke.
+   the engine must produce *identical* results — vectorized vs
+   interpreted SQL, encode cache on vs off, plan cache on vs off.  This
+   is the check ``repro perf`` runs as a tier-1-adjacent smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
    counterpart (same process, same machine, back to back), enforce the
@@ -42,14 +42,13 @@ __all__ = ["run_checks", "run_timings", "run_gate", "main",
 
 DEFAULT_BASELINE = Path("results") / "BENCH_perf_substrates.json"
 
-#: Matches benchmarks/bench_perf_substrates.py so the two report on the
-#: same workload.
+#: Vectorized-engine workloads, timed against ``REPRO_SQL_VECTOR=0``
+#: (the interpreter — same parser, same parse cache, no kernels, no
+#: plan rewrites).  They match benchmarks/bench_perf_substrates.py so
+#: the two report on the same workload.
 GROUP_SQL = ("SELECT bucket, COUNT(*), SUM(value) FROM T0 "
              "WHERE value > 5000 GROUP BY bucket "
              "ORDER BY COUNT(*) DESC")
-
-#: Vectorized-engine workloads, timed against ``REPRO_SQL_VECTOR=0``
-#: (the row-compiled engine — same parser, same plan cache, no kernels).
 FILTER_SQL = ("SELECT id, value FROM T0 "
               "WHERE value > 2500 AND value < 7500 AND bucket <> 'c'")
 JOIN_SQL = ("SELECT a.id, b.weight FROM L a JOIN R b "
@@ -59,7 +58,6 @@ DISTINCT_SQL = "SELECT DISTINCT bucket, value > 5000 FROM T0"
 
 #: Every timing case ``run_timings`` knows (for ``--case`` validation).
 CASE_NAMES = (
-    "native_group_aggregate",
     "vector_filter_scan",
     "vector_group_aggregate",
     "vector_hash_join",
@@ -73,14 +71,13 @@ CASE_NAMES = (
 
 #: Hard speedup floors from the PR acceptance criteria.
 FLOORS = {
-    "native_group_aggregate": 2.0,
     "prompt_encode_repeat": 3.0,
     "vector_filter_scan": 3.0,
     "vector_group_aggregate": 3.0,
     "vector_hash_join": 3.0,
 }
 
-#: Fixed query list for the compiled-vs-interpreted smoke (the full
+#: Fixed query list for the vectorized-vs-interpreted smoke (the full
 #: randomized differential test lives in tests/sqlengine).
 SMOKE_QUERIES = [
     "SELECT * FROM T0",
@@ -176,18 +173,12 @@ def run_checks() -> list[str]:
 
     for sql in SMOKE_QUERIES:
         vectorized = _run_or_error(sql, catalog)
-        with _env("REPRO_SQL_COMPILE", "0"):
+        with _env("REPRO_SQL_VECTOR", "0"):
             interpreted = _run_or_error(sql, catalog)
         if vectorized != interpreted:
             failures.append(
                 f"vectorized != interpreted for {sql!r}: "
                 f"{vectorized[:2]} vs {interpreted[:2]}")
-        with _env("REPRO_SQL_VECTOR", "0"):
-            compiled = _run_or_error(sql, catalog)
-        if vectorized != compiled:
-            failures.append(
-                f"vectorized != row-compiled for {sql!r}: "
-                f"{vectorized[:2]} vs {compiled[:2]}")
 
     with _env("REPRO_SQL_PLAN_CACHE", "0"):
         uncached_plan = _run_or_error(GROUP_SQL, catalog)
@@ -235,32 +226,24 @@ def run_timings(*, repeats: int = 3, only: str | None = None) -> dict:
             "floor": FLOORS.get(name),
         }
 
-    if wanted("native_group_aggregate"):
-        run_query = lambda: execute_sql(GROUP_SQL, catalog)  # noqa: E731
-        run_query()  # warm the plan cache for both sides
-        with _env("REPRO_SQL_COMPILE", "0"):
-            interpreted = _best_of(run_query, repeats=repeats)
-        compiled = _best_of(run_query, repeats=repeats)
-        case("native_group_aggregate", interpreted, compiled)
-
-    # Vectorized engine vs the row-compiled baseline (REPRO_SQL_VECTOR=0):
-    # same parser and plan cache on both sides, so the ratio isolates the
+    # Vectorized engine vs the interpreter (REPRO_SQL_VECTOR=0): same
+    # parser and parse cache on both sides, so the ratio isolates the
     # columnar kernels, plan rewrites, and hash join.
     if wanted("vector_filter_scan"):
         run_filter = lambda: execute_sql(FILTER_SQL, catalog)  # noqa: E731
         run_filter()  # warm plan + kernel caches (steady-state serving)
         with _env("REPRO_SQL_VECTOR", "0"):
-            row_compiled = _best_of(run_filter, repeats=repeats)
+            interpreted = _best_of(run_filter, repeats=repeats)
         vectorized = _best_of(run_filter, repeats=repeats)
-        case("vector_filter_scan", row_compiled, vectorized)
+        case("vector_filter_scan", interpreted, vectorized)
 
     if wanted("vector_group_aggregate"):
         run_group = lambda: execute_sql(GROUP_SQL, catalog)  # noqa: E731
         run_group()
         with _env("REPRO_SQL_VECTOR", "0"):
-            row_compiled = _best_of(run_group, repeats=repeats)
+            interpreted = _best_of(run_group, repeats=repeats)
         vectorized = _best_of(run_group, repeats=repeats)
-        case("vector_group_aggregate", row_compiled, vectorized)
+        case("vector_group_aggregate", interpreted, vectorized)
 
     if wanted("vector_hash_join"):
         join_catalog = _join_catalog()
@@ -277,7 +260,7 @@ def run_timings(*, repeats: int = 3, only: str | None = None) -> dict:
         run_limit = lambda: execute_sql(LIMIT_SQL, tall_catalog)  # noqa: E731
         run_limit()
         with _env("REPRO_SQL_VECTOR", "0"):
-            full_scan = _best_of(run_limit, repeats=repeats)
+            full_scan = _best_of(run_limit, repeats=repeats, number=1)
         short_circuit = _best_of(run_limit, repeats=repeats)
         case("vector_limit_scan", full_scan, short_circuit)
 

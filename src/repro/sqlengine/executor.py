@@ -5,7 +5,7 @@ returns a new :class:`repro.table.DataFrame`.  The pipeline mirrors the
 logical order of SQL: FROM → WHERE → GROUP BY/aggregates → HAVING →
 select-list → DISTINCT → ORDER BY → LIMIT/OFFSET.
 
-Each stage has three implementations, tried fastest-first:
+Each stage has two implementations:
 
 1. **vectorized** — whole-column kernels (:mod:`repro.sqlengine.vector`)
    over statements rewritten by the planner
@@ -13,15 +13,13 @@ Each stage has three implementations, tried fastest-first:
    HAVING pushdown below GROUP BY, LIMIT short-circuit into the scan,
    hash equi-joins).  Only provably total expressions qualify; a stage
    that cannot be proven safe falls back wholesale to
-2. **row-compiled** — expressions lowered once per query to closures
-   over row tuples (:mod:`repro.sqlengine.compiler`), and
-3. the original per-row tree-walking **interpreter**.
+2. the per-row tree-walking **interpreter**
+   (:mod:`repro.sqlengine.evaluator`), which is also the oracle.
 
-``REPRO_SQL_VECTOR=0`` disables tier 1 (and all plan rewrites);
-``REPRO_SQL_COMPILE=0`` forces the interpreter everywhere.  All three
-must produce bit-identical results — values *and* errors — enforced by
-the seeded differential suite.  ``execute_sql`` also memoises parsing
-through :mod:`repro.sqlengine.plancache`.
+``REPRO_SQL_VECTOR=0`` runs the interpreter alone, with no plan
+rewrites.  Both tiers must produce bit-identical results — values *and*
+errors — enforced by the seeded differential suite.  ``execute_sql``
+also memoises parsing through :mod:`repro.sqlengine.plancache`.
 """
 
 from __future__ import annotations
@@ -32,17 +30,15 @@ from repro.errors import SQLRuntimeError
 from repro.sqlengine.ast_nodes import (
     BinaryOp,
     ColumnRef,
+    Expression,
+    FunctionCall,
     JoinClause,
+    Literal,
     OrderItem,
     SelectItem,
     SelectStatement,
     Star,
-)
-from repro.sqlengine.compiler import (
-    Layout,
-    compile_enabled,
-    compile_group,
-    compile_row,
+    UnaryOp,
 )
 from repro.sqlengine.evaluator import (
     GroupContext,
@@ -86,7 +82,7 @@ __all__ = ["execute_select", "execute_sql", "NativeSQLEngine"]
 
 
 def _record_tier(stage: str, tier: str) -> None:
-    """Count which tier (vector|compiled|interpreted) ran ``stage``."""
+    """Count which tier (vector|interpreted) ran ``stage``."""
     GLOBAL_REGISTRY.counter(
         "sql.tier_dispatch",
         "SELECT stages executed, by stage and tier").inc(
@@ -94,11 +90,28 @@ def _record_tier(stage: str, tier: str) -> None:
 
 
 def _record_fallback(stage: str, reason: str) -> None:
-    """Count one all-or-nothing fallback to the next tier down."""
+    """Count one all-or-nothing fallback to the interpreter."""
     GLOBAL_REGISTRY.counter(
         "sql.tier_fallback",
         "stage fallbacks to a lower tier, by reason").inc(
         stage=stage, reason=reason)
+
+
+def _run_stage(stage: str, vectorized: bool, vector, interpreted, *,
+               reason: str = "vector_unsupported"):
+    """Run one stage on the vector tier, else wholesale on the interpreter.
+
+    ``vector()`` returns None when the stage cannot be vectorized; it is
+    not called at all when the vector tier is off.
+    """
+    if vectorized:
+        result = vector()
+        if result is not None:
+            _record_tier(stage, "vector")
+            return result
+        _record_fallback(stage, reason)
+    _record_tier(stage, "interpreted")
+    return interpreted()
 
 
 def execute_sql(sql: str, tables: Mapping[str, DataFrame]) -> DataFrame:
@@ -110,8 +123,7 @@ def execute_select(stmt: SelectStatement,
                    tables: Mapping[str, DataFrame]) -> DataFrame:
     from repro.errors import TableError
     with span("sql_execute", joined=bool(stmt.joins),
-              compiled=compile_enabled(),
-              vectorized=compile_enabled() and vector_enabled()):
+              vectorized=vector_enabled()):
         try:
             return _execute_select(stmt, tables)
         except TableError as exc:
@@ -123,14 +135,13 @@ def execute_select(stmt: SelectStatement,
 def _execute_select(stmt: SelectStatement,
                     tables: Mapping[str, DataFrame]) -> DataFrame:
     joined = bool(stmt.joins)
-    compiled = compile_enabled()
-    vectorized = compiled and vector_enabled()
+    vectorized = vector_enabled()
 
     planned = None
     if vectorized:
-        # Plan rewrites ride the vector flag: REPRO_SQL_VECTOR=0 is the
-        # untouched row-compiled engine, the perf baseline and second
-        # oracle.  plan_select memoises by (statement, schema signature).
+        # Plan rewrites ride the vector flag: REPRO_SQL_VECTOR=0 runs the
+        # untouched statement on the interpreter, the oracle.
+        # plan_select memoises by (statement, schema signature).
         planned = plan_select(stmt, tables)
         if planned.rewrites:
             with span("sql_plan_rewrite",
@@ -149,32 +160,12 @@ def _execute_select(stmt: SelectStatement,
 
     scan_limit = planned.scan_limit if planned else None
     if stmt.where is not None:
-        keep = None
-        if vectorized:
-            keep = _vector_where(frame, stmt.where, joined=joined,
-                                 scan_limit=scan_limit)
-            if keep is None:
-                _record_fallback("where", "vector_unsupported")
-        if keep is None:
-            if compiled:
-                _record_tier("where", "compiled")
-                with span("sql_compile", stage="where"):
-                    predicate = compile_row(
-                        stmt.where, Layout(frame, alias, joined=joined))
-                keep = [
-                    index for index, values in enumerate(frame.to_rows())
-                    if is_truthy(predicate(values))
-                ]
-            else:
-                _record_tier("where", "interpreted")
-                keep = [
-                    row.index for row in frame.iter_rows()
-                    if is_truthy(evaluate(stmt.where,
-                                          RowContext(row, alias,
-                                                     joined=joined)))
-                ]
-        else:
-            _record_tier("where", "vector")
+        keep = _run_stage(
+            "where", vectorized,
+            lambda: _vector_where(frame, stmt.where, joined=joined,
+                                  scan_limit=scan_limit),
+            lambda: _interpreted_where(frame, stmt.where, alias,
+                                       joined=joined))
         frame = frame.take(keep)
     elif scan_limit is not None:
         frame = frame.take(range(min(scan_limit, frame.num_rows)))
@@ -186,43 +177,22 @@ def _execute_select(stmt: SelectStatement,
     ) or (stmt.having is not None
           and expression_uses_aggregate(stmt.having))
 
-    result = None
+    items = _expand_star(stmt, frame, joined=joined)
+    terms = _order_terms(stmt.order_by, items)
     if is_aggregate_query:
-        if vectorized:
-            result = _execute_aggregate_vector(stmt, frame, alias,
-                                               joined=joined)
-            if result is None:
-                _record_fallback("aggregate", "vector_unsupported")
-            else:
-                _record_tier("aggregate", "vector")
-        if result is None and compiled:
-            result = _execute_aggregate_compiled(stmt, frame, alias,
-                                                 joined=joined)
-            if result is None:
-                _record_fallback("aggregate", "compile_unsupported")
-            else:
-                _record_tier("aggregate", "compiled")
-        if result is None:
-            _record_tier("aggregate", "interpreted")
-            result = _execute_aggregate(stmt, frame, alias, joined=joined)
+        result = _run_stage(
+            "aggregate", vectorized,
+            lambda: _execute_aggregate_vector(stmt, frame, items, terms,
+                                              joined=joined),
+            lambda: _execute_aggregate(stmt, frame, alias, items, terms,
+                                       joined=joined))
     else:
-        if vectorized:
-            result = _execute_plain_vector(stmt, frame, alias,
-                                           joined=joined)
-            if result is None:
-                _record_fallback("plain", "vector_unsupported")
-            else:
-                _record_tier("plain", "vector")
-        if result is None and compiled:
-            result = _execute_plain_compiled(stmt, frame, alias,
-                                             joined=joined)
-            if result is None:
-                _record_fallback("plain", "compile_unsupported")
-            else:
-                _record_tier("plain", "compiled")
-        if result is None:
-            _record_tier("plain", "interpreted")
-            result = _execute_plain(stmt, frame, alias, joined=joined)
+        result = _run_stage(
+            "plain", vectorized,
+            lambda: _execute_plain_vector(frame, items, terms,
+                                          joined=joined),
+            lambda: _execute_plain(frame, alias, items, terms,
+                                   joined=joined))
 
     if stmt.distinct:
         if vectorized:
@@ -239,6 +209,16 @@ def _execute_select(stmt: SelectStatement,
         end = min(start + stmt.limit, result.num_rows)
         result = result.take(range(start, end))
     return result
+
+
+def _interpreted_where(frame: DataFrame, where, alias: str | None, *,
+                       joined: bool) -> list[int]:
+    """Indexes of the rows where ``where`` is SQL-true, row by row."""
+    return [
+        row.index for row in frame.iter_rows()
+        if is_truthy(evaluate(where, RowContext(row, alias,
+                                                joined=joined)))
+    ]
 
 
 def _vector_where(frame: DataFrame, where, *, joined: bool,
@@ -316,51 +296,42 @@ def _apply_pushed(frame: DataFrame, conjuncts: list) -> DataFrame:
         # Pushed predicates are proven total, so this fallback should
         # never fire; keep it anyway so a planner bug degrades to slow
         # rather than wrong.
-        fn = compile_row(predicate, Layout(frame, None, joined=False))
-        keep = [index for index, values in enumerate(frame.to_rows())
-                if is_truthy(fn(values))]
+        keep = _interpreted_where(frame, predicate, None, joined=False)
     return frame.take(keep)
 
 
 def _join_frames(left: DataFrame, right: DataFrame,
                  join: JoinClause) -> DataFrame:
     columns = left.columns + right.columns
+    return _run_stage(
+        "join", vector_enabled(),
+        lambda: _hash_equi_join(left, right, join, columns),
+        lambda: _nested_loop_join(left, right, join, columns),
+        reason="hash_join_bailed")
+
+
+def _nested_loop_join(left: DataFrame, right: DataFrame, join: JoinClause,
+                      columns: list[str]) -> DataFrame:
+    """Interpreted join: evaluate ON over every (left, right) pair.
+
+    Pairs are probed left-major, right rows in table order, so errors
+    surface at the same pair as any row-at-a-time engine would raise them.
+    """
     rows: list[tuple] = []
     right_rows = right.to_rows()
-    if compile_enabled():
-        if vector_enabled():
-            hashed = _hash_equi_join(left, right, join, columns)
-            if hashed is not None:
-                _record_tier("join", "vector")
-                return hashed
-            _record_fallback("join", "hash_join_bailed")
-        _record_tier("join", "compiled")
-        # Compile the ON predicate once against the combined column shape
-        # and probe with plain tuples — no per-pair frame construction.
-        shape = DataFrame.empty(columns)
-        predicate = compile_row(join.on, Layout(shape, None, joined=True))
-        for left_values in left.to_rows():
-            matched = False
-            for right_values in right_rows:
-                candidate = left_values + right_values
-                if is_truthy(predicate(candidate)):
-                    matched = True
-                    rows.append(candidate)
-            if not matched and join.kind == "left":
-                rows.append(left_values + (None,) * right.num_columns)
-        return DataFrame.from_rows(rows, columns)
-    _record_tier("join", "interpreted")
+    pad = (None,) * right.num_columns
     for left_values in left.to_rows():
-        matched = False
-        for right_values in right_rows:
-            candidate = left_values + right_values
-            probe = DataFrame.from_rows([candidate], columns)
-            context = RowContext(probe.row(0), None, joined=True)
-            if is_truthy(evaluate(join.on, context)):
-                matched = True
-                rows.append(candidate)
+        candidates = [left_values + values for values in right_rows]
+        probe = DataFrame.from_rows(candidates, columns)
+        matched = [
+            candidate
+            for candidate, row in zip(candidates, probe.iter_rows())
+            if is_truthy(evaluate(join.on,
+                                  RowContext(row, None, joined=True)))
+        ]
+        rows.extend(matched)
         if not matched and join.kind == "left":
-            rows.append(left_values + (None,) * right.num_columns)
+            rows.append(left_values + pad)
     return DataFrame.from_rows(rows, columns)
 
 
@@ -402,15 +373,14 @@ def _hash_equi_join(left: DataFrame, right: DataFrame, join: JoinClause,
             and isinstance(on.left, ColumnRef)
             and isinstance(on.right, ColumnRef)):
         return None
-    layout = Layout(DataFrame.empty(columns), None, joined=True)
-    try:
-        first = layout.index_of(on.left)
-        second = layout.index_of(on.right)
-    except SQLRuntimeError:
-        # Unresolvable/ambiguous ref: let the generic compiled path
-        # raise the identical error.
+    shape = FrameShape(DataFrame.empty(columns), joined=True)
+    first, second = shape.resolve(on.left), shape.resolve(on.right)
+    if first is None or second is None:
+        # Unresolvable/ambiguous ref: let the nested loop raise the
+        # identical error.
         return None
-    left_index, right_index = min(first, second), max(first, second)
+    indexes = {name: index for index, name in enumerate(columns)}
+    left_index, right_index = sorted((indexes[first], indexes[second]))
     if not (left_index < left.num_columns <= right_index):
         return None  # both sides of = live in the same frame
     right_index -= left.num_columns
@@ -457,74 +427,90 @@ def _expand_star(stmt: SelectStatement, frame: DataFrame, *,
     return items
 
 
-def _alias_positions(items: list[SelectItem]) -> dict[str, int]:
-    return {
-        item.alias: position
-        for position, item in enumerate(items) if item.alias
-    }
+def _order_terms(order_by: tuple[OrderItem, ...],
+                 items: list[SelectItem]) -> list[tuple]:
+    """Resolve ORDER BY against the select list, for both tiers.
 
-
-def _compile_order_specs(order_by, items, layout: Layout, *, group: bool):
-    """Lower ORDER BY items to (output position | compiled fn, desc) pairs.
-
-    Select-list aliases resolve against the computed output row (position),
-    everything else compiles against the source layout — the same
-    resolution order as the interpreter's ``_order_key``.
+    Returns ``(output position | None, expression, descending)`` per
+    term.  A bare select-list alias, or an integer literal (SQLite's
+    1-based column number: ``ORDER BY 2``, ``(2)``, ``-2``), sorts by
+    that output column's computed value; anything else — ``1.0`` and
+    ``1+0`` included — is an expression over the source row or group.
+    An out-of-range column number raises SQLite's error.
     """
-    alias_index = _alias_positions(items)
-    lower = compile_group if group else compile_row
-    specs = []
-    for order in order_by:
+    aliases = {item.alias: position
+               for position, item in enumerate(items) if item.alias}
+    terms = []
+    for number, order in enumerate(order_by, start=1):
         expr = order.expression
-        if (isinstance(expr, ColumnRef) and expr.table is None
-                and expr.name in alias_index):
-            specs.append((alias_index[expr.name], None, order.descending))
+        position = None
+        if isinstance(expr, ColumnRef):
+            if expr.table is None:
+                position = aliases.get(expr.name)
         else:
-            specs.append((None, lower(expr, layout), order.descending))
-    return specs
+            column = _column_number(expr)
+            if column is not None:
+                if not 1 <= column <= len(items):
+                    raise SQLRuntimeError(
+                        f"{_ordinal(number)} ORDER BY term out of range "
+                        f"- should be between 1 and {len(items)}")
+                position = column - 1
+        terms.append((position, expr, order.descending))
+    return terms
 
 
-def _order_key_compiled(specs, ctx, out_row) -> tuple:
-    return tuple(
-        _wrap_order_value(out_row[position] if fn is None else fn(ctx),
-                          descending)
-        for position, fn, descending in specs
-    )
+def _column_number(expr: Expression) -> int | None:
+    """The integer a signed/parenthesized integer literal spells, else None."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        return None
+    if isinstance(expr, UnaryOp) and expr.op in ("+", "-"):
+        number = _column_number(expr.operand)
+        if number is not None and expr.op == "-":
+            return -number
+        return number
+    return None
 
 
-def _vector_order_specs(order_by, items, shape: FrameShape, *, group: bool):
-    """Vector analogue of ``_compile_order_specs``; None = fall back.
+def _ordinal(number: int) -> str:
+    """SQLite's ordinal spelling: 1st, 2nd, 3rd, 4th, 11th, 21st, ..."""
+    last = number % 10
+    if last >= 4 or number // 10 % 10 == 1:
+        last = 0
+    return f"{number}{('th', 'st', 'nd', 'rd')[last]}"
 
-    Alias references resolve to output positions, everything else must
-    compile to a whole-column (or group) kernel.
+
+def _vector_order_specs(terms: list[tuple], shape: FrameShape, *,
+                        group: bool):
+    """Lower resolved ORDER BY terms to (position | kernel, desc) specs.
+
+    Output-column terms keep their position; every other term must
+    compile to a whole-column (or group) kernel, else None = fall back.
     """
-    alias_index = _alias_positions(items)
     lower = compile_group_vector if group else compile_vector
     specs = []
-    for order in order_by:
-        expr = order.expression
-        if (isinstance(expr, ColumnRef) and expr.table is None
-                and expr.name in alias_index):
-            specs.append((alias_index[expr.name], None, order.descending))
-        else:
+    for position, expr, descending in terms:
+        fn = None
+        if position is None:
             fn = lower(expr, shape)
             if fn is None:
                 return None
-            specs.append((None, fn, order.descending))
+        specs.append((position, fn, descending))
     return specs
 
 
-def _execute_plain_vector(stmt: SelectStatement, frame: DataFrame,
-                          alias: str | None, *,
+def _execute_plain_vector(frame: DataFrame, items: list[SelectItem],
+                          terms: list[tuple], *,
                           joined: bool = False) -> DataFrame | None:
     """Column-at-a-time select list + ORDER BY; None = fall back.
 
-    All-or-nothing per stage: every select item and every non-alias
-    ORDER BY expression must compile to a total whole-column kernel,
-    otherwise the row-compiled path runs instead (same results, and it
-    raises errors in the exact row order the interpreter would).
+    All-or-nothing per stage: every select item and every expression
+    ORDER BY term must compile to a total whole-column kernel, otherwise
+    the interpreter runs instead (same results, and it raises errors in
+    row order).
     """
-    items = _expand_star(stmt, frame, joined=joined)
     shape = FrameShape(frame, joined=joined)
     item_fns = []
     for item in items:
@@ -533,9 +519,8 @@ def _execute_plain_vector(stmt: SelectStatement, frame: DataFrame,
             return None
         item_fns.append(fn)
     order_specs = None
-    if stmt.order_by:
-        order_specs = _vector_order_specs(stmt.order_by, items, shape,
-                                          group=False)
+    if terms:
+        order_specs = _vector_order_specs(terms, shape, group=False)
         if order_specs is None:
             return None
 
@@ -558,16 +543,16 @@ def _execute_plain_vector(stmt: SelectStatement, frame: DataFrame,
 
 
 def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
-                              alias: str | None, *,
-                              joined: bool = False) -> DataFrame | None:
+                              items: list[SelectItem], terms: list[tuple],
+                              *, joined: bool = False) -> DataFrame | None:
     """Single-pass vectorized GROUP BY/aggregates; None = fall back.
 
-    Grouping buckets row *indexes* (first-seen order, hash keyed the
-    same way as the compiled path), aggregates reduce gathered column
-    slices, and HAVING/items/ORDER BY all run as two-phase group
-    kernels.  Any stage that fails to compile aborts the whole path.
+    Grouping buckets row *indexes* in first-seen order, keyed by
+    ``(type name, value)`` like the interpreter's ``group_by``;
+    aggregates reduce gathered column slices, and HAVING/items/ORDER BY
+    all run as two-phase group kernels.  Any stage that fails to compile
+    aborts the whole path.
     """
-    items = _expand_star(stmt, frame, joined=joined)
     alias_map = {
         item.alias: item.expression for item in items if item.alias}
     shape = FrameShape(frame, joined=joined)
@@ -586,9 +571,8 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
             return None
         item_fns.append(fn)
     order_specs = None
-    if stmt.order_by:
-        order_specs = _vector_order_specs(stmt.order_by, items, shape,
-                                          group=True)
+    if terms:
+        order_specs = _vector_order_specs(terms, shape, group=True)
         if order_specs is None:
             return None
 
@@ -615,8 +599,8 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
         key_columns = []
         for planned_key in key_plan:
             if isinstance(planned_key, ColumnRef):
-                # Resolve exactly as the compiled path does, so a bad
-                # key raises the identical error instead of falling back.
+                # Resolve exactly as the interpreter does, so a bad key
+                # raises the identical error instead of falling back.
                 if joined:
                     name = resolve_joined_ref(frame, planned_key)
                 else:
@@ -651,7 +635,7 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
                 hashed[0] if len(hashed) == 1 else list(zip(*hashed)))
     else:
         if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
+            return _aggregate_over_empty(items, names)
         groups.append(list(range(frame.num_rows)))
 
     having_pg = having_fn(ctx) if having_fn is not None else None
@@ -681,35 +665,9 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
     return DataFrame.from_rows(rows, names)
 
 
-def _execute_plain_compiled(stmt: SelectStatement, frame: DataFrame,
-                            alias: str | None, *,
-                            joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
-    names = _output_names(items)
-    layout = Layout(frame, alias, joined=joined)
-    with span("sql_compile", stage="select"):
-        item_fns = [compile_row(item.expression, layout)
-                    for item in items]
-        order_specs = None
-        if stmt.order_by:
-            order_specs = _compile_order_specs(stmt.order_by, items,
-                                               layout, group=False)
-    rows = []
-    order_keys = []
-    for values in frame.to_rows():
-        out = tuple(fn(values) for fn in item_fns)
-        rows.append(out)
-        if order_specs is not None:
-            order_keys.append(_order_key_compiled(order_specs, values, out))
-    if order_specs is not None:
-        indexes = sorted(range(len(rows)), key=order_keys.__getitem__)
-        rows = [rows[i] for i in indexes]
-    return DataFrame.from_rows(rows, names)
-
-
-def _execute_plain(stmt: SelectStatement, frame: DataFrame,
-                   alias: str | None, *, joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
+def _execute_plain(frame: DataFrame, alias: str | None,
+                   items: list[SelectItem], terms: list[tuple], *,
+                   joined: bool = False) -> DataFrame:
     names = _output_names(items)
     rows = []
     order_keys = []
@@ -717,94 +675,18 @@ def _execute_plain(stmt: SelectStatement, frame: DataFrame,
         context = RowContext(row, alias, joined=joined)
         rows.append(tuple(
             evaluate(item.expression, context) for item in items))
-        if stmt.order_by:
-            order_keys.append(_order_key(stmt.order_by, context,
-                                         rows[-1], items))
-    if stmt.order_by:
+        if terms:
+            order_keys.append(_order_key(terms, context, rows[-1]))
+    if terms:
         indexes = sorted(range(len(rows)), key=lambda i: order_keys[i])
         rows = [rows[i] for i in indexes]
     return DataFrame.from_rows(rows, names)
 
 
-def _execute_aggregate_compiled(stmt: SelectStatement, frame: DataFrame,
-                                alias: str | None, *,
-                                joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
-    names = _output_names(items)
-    alias_map = {
-        item.alias: item.expression for item in items if item.alias}
-    layout = Layout(frame, alias, joined=joined)
-    row_tuples = frame.to_rows()
-
-    # Hash-based grouping: one pass over the rows, buckets in first-seen
-    # order, groups held as lists of source row tuples (no sub-frames).
-    groups: list[list[tuple]] = []
-    if stmt.group_by:
-        key_columns = []
-        for expr in stmt.group_by:
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in frame
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
-            if isinstance(expr, ColumnRef):
-                if joined:
-                    name = resolve_joined_ref(frame, expr)
-                else:
-                    name = frame.column(expr.name).name
-                key_columns.append(frame.column(name).values)
-            else:
-                fn = compile_row(expr, layout)
-                key_columns.append([fn(values) for values in row_tuples])
-        # Hash every key column in one pass; single-key queries use the
-        # per-value key directly (no wrapping tuple per row).
-        hashed = [[_hashable(value) for value in column]
-                  for column in key_columns]
-        keys = hashed[0] if len(hashed) == 1 else list(zip(*hashed))
-        buckets: dict = {}
-        for group_key, values in zip(keys, row_tuples):
-            bucket = buckets.get(group_key)
-            if bucket is None:
-                buckets[group_key] = bucket = []
-                groups.append(bucket)
-            bucket.append(values)
-    else:
-        if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
-        groups.append(row_tuples)
-
-    having_fn = None
-    with span("sql_compile", stage="aggregate"):
-        if stmt.having is not None:
-            having_fn = compile_group(
-                _resolve_aliases(stmt.having, alias_map), layout)
-        item_fns = [compile_group(item.expression, layout)
-                    for item in items]
-
-    rows = []
-    kept_groups = []
-    for group_rows in groups:
-        if having_fn is not None and not is_truthy(having_fn(group_rows)):
-            continue
-        rows.append(tuple(fn(group_rows) for fn in item_fns))
-        kept_groups.append(group_rows)
-
-    if stmt.order_by:
-        order_specs = _compile_order_specs(stmt.order_by, items, layout,
-                                           group=True)
-        keys = [
-            _order_key_compiled(order_specs, group_rows, out)
-            for group_rows, out in zip(kept_groups, rows)
-        ]
-        indexes = sorted(range(len(rows)), key=keys.__getitem__)
-        rows = [rows[i] for i in indexes]
-    return DataFrame.from_rows(rows, names)
-
-
 def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
-                       alias: str | None, *,
+                       alias: str | None, items: list[SelectItem],
+                       terms: list[tuple], *,
                        joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
     names = _output_names(items)
 
     alias_map = {
@@ -842,10 +724,9 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
     else:
         # A single implicit group covering the whole table.  SQLite returns
         # one row even for an empty input (COUNT(*) = 0), but bare column
-        # references then yield NULL; we return an empty result for an empty
-        # input unless every item is an aggregate.
+        # references then yield NULL.
         if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
+            return _aggregate_over_empty(items, names)
         groups.append(frame)
 
     having = stmt.having
@@ -863,9 +744,9 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
             evaluate(item.expression, context) for item in items))
         contexts.append(context)
 
-    if stmt.order_by:
+    if terms:
         keys = [
-            _order_key(stmt.order_by, context, row, items)
+            _order_key(terms, context, row)
             for context, row in zip(contexts, rows)
         ]
         indexes = sorted(range(len(rows)), key=lambda i: keys[i])
@@ -873,31 +754,18 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
     return DataFrame.from_rows(rows, names)
 
 
-def _aggregate_over_empty(items, names, frame: DataFrame,
-                          alias: str) -> DataFrame:
-    values = []
-    for item in items:
-        if expression_uses_aggregate(item.expression):
-            # COUNT over nothing is 0; SUM/AVG/MIN/MAX over nothing is NULL.
-            empty_group = GroupContext.__new__(GroupContext)
-            empty_group.group = frame
-            empty_group.table_alias = alias
-            empty_group._first = None
-            try:
-                values.append(_eval_aggregate_empty(item, frame))
-            except SQLRuntimeError:
-                values.append(None)
-        else:
-            values.append(None)
-    return DataFrame.from_rows([tuple(values)], names)
+def _aggregate_over_empty(items: list[SelectItem],
+                          names: list[str]) -> DataFrame:
+    """The one row an ungrouped aggregate yields over no input rows.
 
-
-def _eval_aggregate_empty(item: SelectItem, frame: DataFrame):
-    from repro.sqlengine.ast_nodes import FunctionCall
-    expr = item.expression
-    if isinstance(expr, FunctionCall) and expr.name.lower() == "count":
-        return 0
-    return None
+    COUNT(...) is 0; every other item — SUM/AVG/MIN/MAX over nothing,
+    bare columns, compound expressions — is NULL.
+    """
+    values = tuple(
+        0 if isinstance(item.expression, FunctionCall)
+        and item.expression.name.lower() == "count" else None
+        for item in items)
+    return DataFrame.from_rows([values], names)
 
 
 def _wrap_order_value(value, descending: bool) -> tuple:
@@ -908,25 +776,17 @@ def _wrap_order_value(value, descending: bool) -> tuple:
     return (is_missing_value(value), base)
 
 
-def _order_key(order_by: tuple[OrderItem, ...], context, row_values,
-               items) -> tuple:
-    """Build a sort key for one output row.
+def _order_key(terms: list[tuple], context, row_values) -> tuple:
+    """Sort key for one output row on the interpreter tier.
 
-    ORDER BY expressions may reference select-list aliases; those are
-    resolved against the computed output row first, then evaluated in the
-    row/group context.
+    Output-column terms (aliases, column numbers) read the computed
+    row; every other term is evaluated in the row/group context.
     """
-    alias_index = _alias_positions(items)
-    key_parts = []
-    for order in order_by:
-        expr = order.expression
-        if (isinstance(expr, ColumnRef) and expr.table is None
-                and expr.name in alias_index):
-            value = row_values[alias_index[expr.name]]
-        else:
-            value = evaluate(expr, context)
-        key_parts.append(_wrap_order_value(value, order.descending))
-    return tuple(key_parts)
+    return tuple(
+        _wrap_order_value(
+            row_values[position] if position is not None
+            else evaluate(expr, context), descending)
+        for position, expr, descending in terms)
 
 
 class _Reversed:

@@ -6,6 +6,7 @@ Aggregates live in :mod:`repro.table.ops`; this module is scalar-only.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 from repro.errors import SQLRuntimeError
@@ -141,15 +142,46 @@ def _fn_rtrim(args):
 
 
 def _fn_round(args):
+    """SQLite's ``round(X[, Y])``: half away from zero, Y clamped to 0..30.
+
+    With ``Y = 0`` SQLite computes ``(int)(X ± 0.5)``; otherwise it
+    prints ``X`` to ``Y`` decimals with its own ``printf``: add half a
+    unit in the last place plus a ``3e-16 * X`` nudge (when ``Y`` is
+    small next to the magnitude of ``X``), then truncate to at most 16
+    significant digits.  That is why ``round(1.005, 2)`` is 1.01 here,
+    as in SQLite, where Python's ``round`` gives 1.0.  A NULL ``Y``
+    yields NULL.
+    """
     _require(args, (1, 2), "round")
     if is_missing(args[0]):
         return None
-    number = _as_number(args[0], "round")
     digits = 0
-    if len(args) == 2 and not is_missing(args[1]):
-        digits = int(_as_number(args[1], "round"))
-    result = round(float(number) + 0.0, digits)
-    return result
+    if len(args) == 2:
+        if is_missing(args[1]):
+            return None
+        digits = max(0, min(30, int(_as_number(args[1], "round"))))
+    value = float(_as_number(args[0], "round"))
+    if not -_NO_FRACTION <= value <= _NO_FRACTION:
+        return value
+    if digits == 0:
+        return float(int(value + (-0.5 if value < 0 else 0.5)))
+    magnitude = abs(value)
+    with decimal.localcontext() as context:
+        context.prec = 100
+        rounder = decimal.Decimal(5).scaleb(-digits - 1)
+        if digits + math.trunc((math.frexp(magnitude)[1] - 1) / 3) < 15:
+            rounder += decimal.Decimal(magnitude) * _PRINTF_NUDGE
+        total = decimal.Decimal(magnitude) + rounder
+        kept = min(digits, 15 - total.adjusted())
+        result = float(total.quantize(decimal.Decimal(1).scaleb(-kept),
+                                      rounding=decimal.ROUND_DOWN))
+    return -result if value < 0 else result
+
+
+#: Doubles beyond 2**52 have no fractional part: round() returns them as is.
+_NO_FRACTION = 4503599627370496.0
+#: SQLite's printf nudge toward the next decimal up (``rounder += X*3e-16``).
+_PRINTF_NUDGE = decimal.Decimal("3e-16")
 
 
 def _fn_coalesce(args):

@@ -18,12 +18,12 @@ Every rewrite changes *when* (or whether) expressions are evaluated, so
 each is gated on :func:`is_total`: a conservative, dtype-aware proof
 that an expression can never raise and resolves statically.  A rewrite
 that cannot be proven safe simply does not fire — the unrewritten plan
-runs and the interpreter oracle (``REPRO_SQL_COMPILE=0``) stays
-bit-identical, errors included.  The same analysis is what licenses the
-eager column-at-a-time evaluation in :mod:`repro.sqlengine.vector`
-(eager kernels evaluate expressions on rows the row-at-a-time engine
-would short-circuit past, which is only sound if those expressions
-cannot raise).
+runs and the interpreter oracle (``REPRO_SQL_VECTOR=0``, which also
+skips every rewrite) stays bit-identical, errors included.  The same
+analysis is what licenses the eager column-at-a-time evaluation in
+:mod:`repro.sqlengine.vector` (eager kernels evaluate expressions on
+rows the row-at-a-time engine would short-circuit past, which is only
+sound if those expressions cannot raise).
 
 Planned statements are memoised through the same LRU machinery as the
 parse cache (see :data:`repro.sqlengine.plancache.DEFAULT_REWRITE_CACHE`),
@@ -92,10 +92,10 @@ def resolve_table(name: str, tables: Mapping[str, DataFrame]) -> DataFrame:
 class FrameShape:
     """Static resolution + dtype view of one frame (or join shape).
 
-    Mirrors the runtime resolution rules (``Layout`` for indexes, the
-    joined suffix scheme) but never raises: :meth:`resolve` returns
-    ``None`` on a miss or ambiguity, which the analysis treats as
-    "cannot prove safe".
+    Mirrors the interpreter's resolution rules (exact name, then first
+    case-insensitive match; the joined suffix scheme) but never raises:
+    :meth:`resolve` returns ``None`` on a miss or ambiguity, which the
+    analysis treats as "cannot prove safe".
     """
 
     __slots__ = ("frame", "joined", "_dtypes")

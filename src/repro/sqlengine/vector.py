@@ -1,12 +1,10 @@
 """Column-at-a-time (vectorized) execution kernels for the SQL engine.
 
-The row compiler (:mod:`repro.sqlengine.compiler`) already lowers each
-expression once per query, but still pays one closure-tree walk *per
-row*.  This module lowers **total** expressions (see
+The interpreter (:mod:`repro.sqlengine.evaluator`) walks the expression
+tree once *per row*.  This module lowers **total** expressions (see
 :func:`repro.sqlengine.planner.is_total`) to whole-column kernels: one
 Python-level loop per *operator* instead of per row, with
-dtype-specialised fast paths for the hot comparison shapes and an
-optional numpy path behind ``REPRO_SQL_NUMPY=1``.
+dtype-specialised fast paths for the hot comparison shapes.
 
 Totality is what makes eager evaluation sound.  A column kernel
 evaluates its operands on every row, including rows the row-at-a-time
@@ -16,10 +14,9 @@ difference would be errors — and there are none.  The *values* of
 SQLite's three-valued logic are combination functions of the operand
 values, so eager masks combine to exactly the short-circuit results.
 Anything non-total simply does not get a vector kernel
-(:func:`compile_vector` returns None) and the caller falls back to the
-row-compiled path; ``REPRO_SQL_VECTOR=0`` disables this layer entirely,
-keeping the row engine as a second oracle next to the interpreter
-(``REPRO_SQL_COMPILE=0``).
+(:func:`compile_vector` returns None) and the caller runs the stage on
+the interpreter, which stays the oracle; ``REPRO_SQL_VECTOR=0``
+disables this layer entirely.
 
 Kernels must be loop-per-operator, never loop-per-row-tuple: a tier-1
 lint (``tools/lint_vector.py``) rejects ``for row in`` / ``to_rows()``
@@ -32,7 +29,7 @@ Caching layers, innermost first:
   x*y`` computes ``x*y`` once (AST nodes are frozen dataclasses and
   hash structurally).
 * ``DataFrame.kernel_cache()`` — per-frame, cross-query reuse of
-  computed columns (and numpy mirrors), invalidated by
+  computed columns, invalidated by
   ``DataFrame.__setitem__``.  Only full-range contexts read or write
   it; chunked scans (LIMIT short-circuit) stay out.
 """
@@ -75,7 +72,6 @@ from repro.telemetry.metrics import GLOBAL_REGISTRY
 
 __all__ = [
     "vector_enabled",
-    "numpy_enabled",
     "VectorContext",
     "compile_vector",
     "compile_group_vector",
@@ -85,29 +81,9 @@ __all__ = [
 
 
 def vector_enabled() -> bool:
-    """True unless ``REPRO_SQL_VECTOR=0`` forces the row-compiled path."""
+    """True unless ``REPRO_SQL_VECTOR=0`` forces the interpreter."""
     return os.environ.get("REPRO_SQL_VECTOR", "1") != "0"
 
-
-_numpy_module = None
-
-
-def numpy_enabled() -> bool:
-    """True when ``REPRO_SQL_NUMPY=1`` and numpy imports cleanly."""
-    global _numpy_module
-    if os.environ.get("REPRO_SQL_NUMPY", "0") != "1":
-        return False
-    if _numpy_module is None:
-        try:
-            import numpy
-            _numpy_module = numpy
-        except ImportError:          # pragma: no cover - numpy is baked in
-            _numpy_module = False
-    return _numpy_module is not False
-
-
-#: Sentinel for "this column cannot be mirrored as a numpy array".
-_NO_ARRAY = object()
 
 #: Dtypes whose non-missing values are bool/int/float — comparison and
 #: arithmetic fast paths apply.
@@ -140,33 +116,6 @@ class VectorContext:
         if self._full:
             return values
         return values[self.start:self.stop]
-
-    def numpy_column(self, name: str):
-        """Numpy mirror of a column, or None when ineligible.
-
-        Eligible: every value present (NULL-mask-free) and the array
-        dtype is a plain int/float (big ints degrade to object arrays
-        and are rejected, preserving exact comparisons).  Mirrors are
-        cached on the frame alongside kernel results.
-        """
-        if not numpy_enabled():
-            return None
-        cache = self.frame.kernel_cache()
-        key = ("np", name)
-        mirror = cache.get(key)
-        if mirror is None:
-            values = self.frame.column(name).values
-            mirror = _NO_ARRAY
-            if not any(value is None or value != value for value in values):
-                array = _numpy_module.asarray(values)
-                if array.dtype.kind in "if":
-                    mirror = array
-            cache[key] = mirror
-        if mirror is _NO_ARRAY:
-            return None
-        if self._full:
-            return mirror
-        return mirror[self.start:self.stop]
 
 
 def distinct_indexes(frame: DataFrame) -> list[int]:
@@ -221,8 +170,8 @@ def compile_vector(expr: Expression, shape: FrameShape):
 
     Returns None when no sound kernel exists — the expression is not
     provably total, so eager evaluation could surface errors the
-    row-at-a-time engine never reaches.  Callers fall back to
-    :func:`repro.sqlengine.compiler.compile_row` for the whole stage.
+    row-at-a-time engine never reaches.  Callers then run the whole
+    stage on the interpreter.
     """
     if not is_total(expr, shape):
         return None
@@ -417,7 +366,7 @@ def _comparison_fast_path(expr: BinaryOp, shape: FrameShape):
 
     ``col <op> literal`` (either side) over numeric columns compares
     eagerly with the Python operator — exactly ``compare_values`` for
-    two numeric-view operands — and rides numpy when enabled.  TEXT
+    two numeric-view operands.  TEXT
     columns against non-numeric string literals replicate the
     type-class ordering branch.  ``col <op> col`` over two numeric
     columns compares positionally.  Anything else returns None and
@@ -455,9 +404,6 @@ def _column_literal_cmp(op: str, col, literal):
     literal_num = _to_number(literal)
     if dtype in _NUMERIC_DTYPES and literal_num is not None:
         def numeric_cmp(ctx):
-            array = ctx.numpy_column(name)
-            if array is not None:
-                return fn(array, literal_num).tolist()
             return [None if value is None or value != value
                     else fn(value, literal_num)
                     for value in ctx.column(name)]
@@ -666,10 +612,10 @@ def compile_group_vector(expr: Expression, shape: FrameShape):
     Returns ``prepare(ctx) -> per_group(indexes) -> value`` or None.
     ``prepare`` computes every needed whole column once (CSE-shared via
     the context); ``per_group`` then reduces a group's row indexes to
-    one value.  Mirrors ``compile_group`` semantics exactly: aggregate
+    one value.  Mirrors ``GroupContext`` semantics exactly: aggregate
     arguments gather per group, bare (aggregate-free) subtrees take the
     group's first row, compound nodes combine per group through the
-    same scalar kernels the row engine uses.
+    same scalar kernels the interpreter uses.
     """
     if not is_total(expr, shape, group=True):
         return None
@@ -897,7 +843,7 @@ def _compile_gv_aggregate(call: FunctionCall, shape: FrameShape):
     context memo with every other kernel in the stage); each group then
     gathers its rows' values and folds them — the same name
     normalisation, COUNT(*)/group_concat special cases, and DISTINCT
-    dedupe as ``GroupContext.aggregate`` and the row compiler.
+    dedupe as ``GroupContext.aggregate``.
     """
     from repro.sqlengine.ast_nodes import Star
     name = call.name.lower()

@@ -337,9 +337,9 @@ class DataFrame:
     def lowered_names(self) -> dict[str, str]:
         """Cached ``lowercase -> first matching column name`` map.
 
-        Both the SQL interpreter and the expression compiler resolve
-        identifiers through this map instead of re-lowercasing every column
-        on every row.
+        Both SQL tiers (the interpreter and the vector kernels' static
+        resolution) resolve identifiers through this map instead of
+        re-lowercasing every column on every row.
         """
         if self._lowered is None:
             lowered: dict[str, str] = {}

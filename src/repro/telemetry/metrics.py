@@ -13,7 +13,7 @@ Two scopes exist:
   serving run's snapshot is self-contained), and
 * the process-global :data:`GLOBAL_REGISTRY`, which long-lived
   infrastructure (the SQL plan cache, the prompt-encode cache, the
-  circuit breaker, the model retry stack, the expression compiler)
+  circuit breaker, the model retry stack, the SQL tier counters)
   reports into.
 
 Snapshots are plain JSON-ready dicts; nothing here reads the wall clock,
@@ -261,5 +261,5 @@ GLOBAL_REGISTRY = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-wide registry (caches, breaker, compiler, retries)."""
+    """The process-wide registry (caches, breaker, SQL tiers, retries)."""
     return GLOBAL_REGISTRY

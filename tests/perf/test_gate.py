@@ -25,7 +25,7 @@ class TestRunGate:
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
             "cases": {
-                "native_group_aggregate": {"speedup": 10_000.0},
+                "vector_group_aggregate": {"speedup": 10_000.0},
             },
         }))
         _, failures = run_gate(baseline_path=baseline, repeats=1)
@@ -44,12 +44,12 @@ class TestRunGate:
     def test_update_baseline_overwrites(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
-            "cases": {"native_group_aggregate": {"speedup": 10_000.0}},
+            "cases": {"vector_group_aggregate": {"speedup": 10_000.0}},
         }))
         _, failures = run_gate(baseline_path=baseline,
                                update_baseline=True, repeats=2)
         saved = json.loads(baseline.read_text())
-        assert saved["cases"]["native_group_aggregate"]["speedup"] < 1000
+        assert saved["cases"]["vector_group_aggregate"]["speedup"] < 1000
         assert failures == []
 
 
@@ -63,5 +63,5 @@ class TestMain:
                      "--repeats", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "native_group_aggregate" in out
+        assert "vector_group_aggregate" in out
         assert "prompt_encode_repeat" in out

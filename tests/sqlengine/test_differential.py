@@ -1,18 +1,19 @@
-"""Randomized differential test: vectorized vs compiled vs interpreted.
+"""Randomized differential test: vectorized vs interpreted.
 
 A seeded query generator builds hundreds of SELECTs over
 :mod:`repro.datasets.tablegen` frames — filters, grouped aggregates
 (single- and multi-key), HAVING (including pushable key conjuncts),
-ORDER BY, LIMIT/OFFSET, scalar functions, CASE, self-joins, inner and
-LEFT joins against a second table, and deliberately broken references —
-and asserts all three execution tiers agree *exactly*: same columns,
-same rows, and for failing queries the same error class and message.
+ORDER BY (by expression, alias and column number), LIMIT/OFFSET,
+scalar functions, CASE, self-joins, inner and LEFT joins against a
+second table, and deliberately broken references — and asserts both
+execution tiers agree *exactly*: same columns, same rows, and for
+failing queries the same error class and message.
 
-The three tiers:
+The two tiers:
 
-* default            — vectorized kernels + plan rewrites
-* REPRO_SQL_VECTOR=0 — the row-compiled engine (perf baseline)
-* REPRO_SQL_COMPILE=0 — the tree-walking interpreter (ground truth)
+* default            — vectorized kernels + plan rewrites, falling back
+  to the interpreter per stage
+* REPRO_SQL_VECTOR=0 — the tree-walking interpreter alone (ground truth)
 
 Each frame also runs as a NULL-heavy variant (~30% of cells nulled) so
 NULL propagation through masks, join keys, and group keys is exercised
@@ -31,11 +32,10 @@ from repro.table import DataFrame
 QUERIES_PER_FRAME = 80
 FRAME_SEEDS = (101, 202, 303, 404)
 
-#: Env-var overlays for the three execution tiers.
+#: Env-var overlays for the two execution tiers.
 MODES = (
     ("vector", {}),
-    ("compiled", {"REPRO_SQL_VECTOR": "0"}),
-    ("interpreted", {"REPRO_SQL_COMPILE": "0"}),
+    ("interpreted", {"REPRO_SQL_VECTOR": "0"}),
 )
 
 
@@ -184,6 +184,21 @@ def _random_query(rng: random.Random, frame: DataFrame) -> str:
     ])
 
 
+def _order_by_position_queries(rng: random.Random,
+                               frame: DataFrame) -> list[str]:
+    """ORDER BY column numbers, in and out of range, on every frame."""
+    num = rng.choice(_numeric_columns(frame))
+    cat = rng.choice(_text_columns(frame))
+    return [
+        f"SELECT {num}, {cat} FROM T0 ORDER BY 1 DESC, 2",
+        f"SELECT {cat}, COUNT(*) AS n FROM T0 GROUP BY {cat} "
+        f"ORDER BY 2 DESC, (1)",
+        f"SELECT {cat} FROM T0 ORDER BY 1.0, 1 + 0, +1 DESC",
+        f"SELECT {num}, {cat} FROM T0 ORDER BY {num}, "
+        f"{rng.choice([0, -1, 3])}",
+    ]
+
+
 def _lookup_table(frame: DataFrame) -> DataFrame:
     """A small T1 keyed on T0's first text column (plus one miss row)."""
     key = _text_columns(frame)[0]
@@ -209,8 +224,7 @@ def _null_heavy(frame: DataFrame, seed: int) -> DataFrame:
 
 
 def _outcome(sql: str, catalog, env: dict) -> tuple:
-    saved = {key: os.environ.pop(key, None)
-             for key in ("REPRO_SQL_VECTOR", "REPRO_SQL_COMPILE")}
+    saved = os.environ.pop("REPRO_SQL_VECTOR", None)
     os.environ.update(env)
     try:
         result = execute_sql(sql, catalog)
@@ -218,10 +232,9 @@ def _outcome(sql: str, catalog, env: dict) -> tuple:
     except Exception as exc:  # noqa: BLE001 - error parity is the point
         return ("error", type(exc).__name__, str(exc))
     finally:
-        for key, value in saved.items():
-            os.environ.pop(key, None)
-            if value is not None:
-                os.environ[key] = value
+        os.environ.pop("REPRO_SQL_VECTOR", None)
+        if saved is not None:
+            os.environ["REPRO_SQL_VECTOR"] = saved
 
 
 @pytest.mark.parametrize("nulled", [False, True],
@@ -233,9 +246,10 @@ def test_three_tiers_agree(frame_seed, nulled):
         frame = _null_heavy(frame, frame_seed + 11)
     catalog = {"T0": frame, "T1": _lookup_table(frame)}
     rng = random.Random(frame_seed * 7 + 1)
+    queries = [_random_query(rng, frame) for _ in range(QUERIES_PER_FRAME)]
+    queries += _order_by_position_queries(rng, frame)
     succeeded = 0
-    for _ in range(QUERIES_PER_FRAME):
-        sql = _random_query(rng, frame)
+    for sql in queries:
         outcomes = [(name, _outcome(sql, catalog, env))
                     for name, env in MODES]
         baseline = outcomes[0][1]

@@ -97,7 +97,12 @@ class TestNumericFunctions:
         assert call_scalar("round", [2.567, 1]) == 2.6
 
     def test_round_default_digits(self):
-        assert call_scalar("round", [2.5]) == 2  # banker's rounding
+        # Half away from zero, as in SQLite (not Python's half-to-even).
+        assert call_scalar("round", [2.5]) == 3.0
+        assert call_scalar("round", [-2.5]) == -3.0
+
+    def test_round_null_digits_is_null(self):
+        assert call_scalar("round", [2.5, None]) is None
 
     def test_sqrt(self):
         assert call_scalar("sqrt", [9]) == 3.0

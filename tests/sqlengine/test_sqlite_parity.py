@@ -5,10 +5,13 @@ renderer can generate must produce equivalent results on both.  Includes a
 hypothesis sweep over generated plan steps.
 """
 
+import sqlite3
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import SQLRuntimeError
 from repro.executors.sql_executor import run_sqlite_query
 from repro.sqlengine import execute_sql
 from repro.table import DataFrame, tables_equivalent
@@ -36,8 +39,12 @@ PARITY_QUERIES = [
     "SELECT Rank FROM T0 WHERE Points BETWEEN 10 AND 30 ORDER BY Rank",
     "SELECT Rank FROM T0 WHERE Rank IN (1, 2, 99)",
     "SELECT Rank FROM T0 WHERE Uci_protour_points IS NULL ORDER BY Rank",
-    "SELECT UPPER(Team) FROM T0 ORDER BY 1 LIMIT 1"
-    .replace("ORDER BY 1 LIMIT 1", "ORDER BY UPPER(Team) LIMIT 1"),
+    "SELECT UPPER(Team) FROM T0 ORDER BY UPPER(Team) LIMIT 1",
+    "SELECT UPPER(Team) FROM T0 ORDER BY 1 LIMIT 1",
+    "SELECT Rank FROM T0 ORDER BY 1 DESC",
+    "SELECT Cyclist, Rank FROM T0 ORDER BY (2) DESC",
+    "SELECT Team, COUNT(*) FROM T0 GROUP BY Team ORDER BY 2 DESC, 1",
+    "SELECT Rank FROM T0 ORDER BY 1.0, Rank",
     "SELECT SUBSTR(Cyclist, -4, 3) AS cc, COUNT(*) FROM T0 GROUP BY cc ORDER BY COUNT(*) DESC, cc",
     "SELECT CASE WHEN Points > 20 THEN 'high' ELSE 'low' END AS tier, COUNT(*) FROM T0 GROUP BY tier ORDER BY tier",
     "SELECT Points * 2 + 1 FROM T0 WHERE Rank = 1",
@@ -57,6 +64,36 @@ def test_backend_parity(catalog, sql):
     assert tables_equivalent(native, sqlite, ordered="ORDER BY" in sql), \
         f"backends disagree on {sql!r}:\n{native.to_rows()}\n" \
         f"{sqlite.to_rows()}"
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT Rank FROM T0 ORDER BY 2",
+    "SELECT Rank FROM T0 ORDER BY 0",
+    "SELECT Rank, Points FROM T0 ORDER BY Rank, -1",
+    "SELECT Rank FROM T0 WHERE Rank > 99 ORDER BY 1, 2",
+])
+def test_order_by_out_of_range_matches_sqlite(catalog, sql):
+    with pytest.raises(sqlite3.OperationalError) as expected:
+        run_sqlite_query(sql, catalog)
+    with pytest.raises(SQLRuntimeError) as native:
+        execute_sql(sql, catalog)
+    assert str(native.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("expr", [
+    "ROUND(2.5)",
+    "ROUND(-2.5)",
+    "ROUND(0.125, 2)",
+    "ROUND(1.005, 2)",
+    "ROUND(-1.005, 2)",
+    "ROUND(1234.5678, -2)",
+    "ROUND(2.5, NULL)",
+    "ROUND(Points / 3.0, 2)",
+])
+def test_round_matches_sqlite(catalog, expr):
+    sql = f"SELECT {expr} FROM T0 ORDER BY Rank"
+    assert execute_sql(sql, catalog).to_rows() == \
+        run_sqlite_query(sql, catalog).to_rows()
 
 
 # --- property-based parity over generated plan steps -------------------------

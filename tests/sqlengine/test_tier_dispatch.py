@@ -1,9 +1,8 @@
 """Per-tier dispatch observability: sql.tier_dispatch / sql.tier_fallback.
 
-The three-tier engine (vector → row-compiled → interpreted) makes
-all-or-nothing per-stage decisions; these counters make the decisions
-visible.  The autouse GLOBAL_REGISTRY reset keeps every test's counts
-exact.
+The two-tier engine (vector → interpreted) makes all-or-nothing
+per-stage decisions; these counters make the decisions visible.  The
+autouse GLOBAL_REGISTRY reset keeps every test's counts exact.
 """
 
 import pytest
@@ -55,7 +54,14 @@ class TestTierDispatch:
                     "JOIN u ON t.id > u.id", tables)
         assert fallback().value(stage="join",
                                 reason="hash_join_bailed") == 1
-        assert dispatch().value(stage="join", tier="compiled") == 1
+        assert dispatch().value(stage="join", tier="interpreted") == 1
+
+    def test_unsupported_where_falls_back_to_interpreter(self, tables):
+        # sqrt() can raise, so the WHERE stage is not provably total.
+        execute_sql("SELECT name FROM t WHERE SQRT(points) > 5", tables)
+        assert fallback().value(stage="where",
+                                reason="vector_unsupported") == 1
+        assert dispatch().value(stage="where", tier="interpreted") == 1
 
     def test_distinct_counts_vector_tier(self, tables):
         execute_sql("SELECT DISTINCT name FROM t", tables)
@@ -69,21 +75,24 @@ class TestTierDispatch:
                                 tier="interpreted") == 1
         assert dispatch().value(stage="distinct", tier="vector") == 0
 
-    def test_compiled_tier_counted_when_vector_off(self, tables,
-                                                   monkeypatch):
+    def test_interpreted_tier_counted_when_vector_off(self, tables,
+                                                      monkeypatch):
         monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
         execute_sql("SELECT name FROM t WHERE points > 10", tables)
-        assert dispatch().value(stage="where", tier="compiled") == 1
+        assert dispatch().value(stage="where", tier="interpreted") == 1
         assert dispatch().value(stage="where", tier="vector") == 0
+        assert fallback().total() == 0
 
-    def test_interpreted_tier_counted_when_compile_off(self, tables,
-                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_COMPILE", "0")
+    def test_interpreted_join_counted_when_vector_off(self, tables,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
         execute_sql("SELECT name FROM t WHERE points > 10", tables)
         assert dispatch().value(stage="where", tier="interpreted") == 1
         execute_sql("SELECT t.name FROM t JOIN u ON t.id = u.id",
                     tables)
         assert dispatch().value(stage="join", tier="interpreted") == 1
+        assert dispatch().value(stage="join", tier="vector") == 0
+        assert fallback().total() == 0
 
     def test_label_values_are_a_closed_set(self, tables):
         # Bounded cardinality: every label value comes from a fixed
@@ -93,13 +102,12 @@ class TestTierDispatch:
         execute_sql("SELECT t.name FROM t JOIN u ON t.id > u.id",
                     tables)
         execute_sql("SELECT DISTINCT name FROM t", tables)
-        tiers = {"vector", "compiled", "interpreted"}
+        tiers = {"vector", "interpreted"}
         stages = {"where", "aggregate", "plain", "join", "distinct"}
         for key in dispatch().values():
             labels = dict(key)
             assert labels["tier"] in tiers
             assert labels["stage"] in stages
-        reasons = {"vector_unsupported", "compile_unsupported",
-                   "hash_join_bailed"}
+        reasons = {"vector_unsupported", "hash_join_bailed"}
         for key in fallback().values():
             assert dict(key)["reason"] in reasons

@@ -264,7 +264,7 @@ class TestPerf:
         assert main(["perf", "--timings",
                      "--baseline", str(baseline)]) == 0
         assert baseline.exists()
-        assert "native_group_aggregate" in capsys.readouterr().out
+        assert "vector_group_aggregate" in capsys.readouterr().out
 
 
 class TestChaos:
