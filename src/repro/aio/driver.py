@@ -2,10 +2,13 @@
 
 :func:`drive_chain` pumps a single sans-IO
 :class:`~repro.engine.ChainEngine` to completion, parking its model calls
-in a :class:`~repro.aio.batcher.ContinuousBatcher` and draining execute
+in a :class:`~repro.aio.batcher.ContinuousBatcher` and performing execute
 effects inline (local compute, same within-tick ordering as the sync
-drivers).  :class:`AsyncChainDriver` is the BatchScheduler-shaped
-convenience wrapper: give it engines, get results in input order.
+drivers).  :class:`AsyncChainDriver` runs a population of engines over
+one batcher: give it engines, get results in input order.  It is the one
+place that admits a population — the async server drives every chain
+attempt through it (an s-vote/ensemble population, or a greedy chain as
+a population of one), as do the benchmarks and tests.
 
 Determinism: with a static engine population the event loop wakes the
 chain coroutines in creation order, so they park in input order, the
@@ -31,16 +34,15 @@ from repro.errors import ExecutionError
 __all__ = ["drive_chain", "AsyncChainDriver"]
 
 
-async def drive_chain(engine: ChainEngine,
-                      batcher: ContinuousBatcher,
-                      handler: AsyncEffectHandler | None = None,
-                      *, tracer=None, pre_admitted: bool = False) -> AgentResult:
+async def drive_chain(engine: ChainEngine, batcher: ContinuousBatcher, *,
+                      pre_admitted: bool = False) -> AgentResult:
     """Drive ``engine`` to completion through ``batcher``.
 
-    ``handler`` (defaults to the batcher's) performs the synchronous
-    execute effects; model calls go through the batcher so they coalesce
-    with whatever else is in flight.  Exactly one :meth:`retire` happens
-    on every exit path (completion, cancellation, failing tick).
+    Model calls go through the batcher so they coalesce with whatever
+    else is in flight; the batcher's handler performs the synchronous
+    execute effects.  The engine's trace notes are drained (serving
+    runners carry no tracer).  Exactly one :meth:`retire` happens on
+    every exit path (completion, cancellation, failing tick).
 
     ``pre_admitted`` means the caller already called :meth:`admit` for
     this engine.  A coroutine only runs when the loop first schedules
@@ -50,41 +52,29 @@ async def drive_chain(engine: ChainEngine,
     premature one-member tick (:class:`AsyncChainDriver` does this
     bookkeeping; standalone callers can leave the default and self-admit).
     """
-    if handler is None:
-        handler = batcher.handler
+    handler = batcher.handler
     if not pre_admitted:
         batcher.admit()
     try:
         while engine.state != "done":
             result = await batcher.call(engine.next_effect())
-            _flush_notes(engine, tracer)
             engine.send(result)
             while engine.state == "exec":
                 engine.send(handler.execute(engine.next_effect()))
-            _flush_notes(engine, tracer)
+            engine.drain_notes()
     finally:
         batcher.retire()
     return engine.result
-
-
-def _flush_notes(engine: ChainEngine, tracer) -> None:
-    notes = engine.drain_notes()
-    if tracer is None:
-        return
-    for kind, iteration, data in notes:
-        if kind == "end":
-            tracer.end_chain(iteration, **data)
-        else:
-            tracer.emit(kind, iteration, **data)
 
 
 class AsyncChainDriver:
     """Run many engines as coroutines over one shared batcher.
 
     The constructor mirrors :class:`~repro.engine.BatchScheduler`
-    (``model`` + ``registry``, or a prebuilt ``handler``); :meth:`run`
-    awaits all engines, :meth:`run_sync` wraps it in ``asyncio.run`` for
-    synchronous callers (benchmarks, tests).
+    (``model`` + ``registry``, or a prebuilt ``handler`` — the server
+    passes one carrying the attempt's deadline and exception envelope);
+    :meth:`run` awaits all engines, :meth:`run_sync` wraps it in
+    ``asyncio.run`` for synchronous callers (benchmarks, tests).
     """
 
     def __init__(self, model=None, registry=None, *,
@@ -113,10 +103,12 @@ class AsyncChainDriver:
         # tick waits for everyone — the lock-step-equivalence guarantee.
         for _ in engines:
             self.batcher.admit()
-        return await asyncio.gather(
-            *(drive_chain(engine, self.batcher, self.handler,
-                          pre_admitted=True)
-              for engine in engines))
+        chains = [drive_chain(engine, self.batcher, pre_admitted=True)
+                  for engine in engines]
+        if len(chains) == 1:
+            # A population of one runs in the caller's task: no task hop.
+            return [await chains[0]]
+        return await asyncio.gather(*chains)
 
     def run_sync(self, engines) -> list[AgentResult]:
         """:meth:`run` on a private event loop, for sync callers."""

@@ -1,10 +1,13 @@
 """Batched evaluation through the async server.
 
 :class:`AsyncBatchEvaluator` is the :class:`~repro.serving.batch.\
-BatchEvaluator` twin over :class:`~repro.aio.server.AsyncServer`: it
-submits every benchmark question as a coroutine, lets admission control
-and the fair queue pace them, and scores the responses with the same
-accumulation logic as the sequential runner.  The determinism contract
+BatchEvaluator` sibling over :class:`~repro.aio.server.AsyncServer`: it
+submits every benchmark question as a coroutine and lets admission
+control and the fair queue pace them.  Everything else — the cache,
+policy and metrics defaults, ``last_responses`` and the scoring (the
+sequential runner's accumulation logic) — is the shared
+:class:`~repro.serving.batch.EvaluatorCore`; this module adds only the
+server's knobs and the submission loop.  The determinism contract
 is the pool's — every request answered by a fresh agent seeded from
 ``seed`` alone — plus the server's shedding behaviour: with a bounded
 ``max_queued`` some responses may come back ``outcome="rejected"`` under
@@ -20,7 +23,8 @@ import asyncio
 
 from repro.aio.server import AsyncServer
 from repro.datasets.generators import Benchmark
-from repro.evalkit.runner import EvalReport, make_report, record_result
+from repro.evalkit.runner import EvalReport
+from repro.serving.batch import EvaluatorCore
 from repro.serving.breaker import BreakerConfig
 from repro.serving.cache import AnswerCache
 from repro.serving.metrics import ServingMetrics
@@ -30,15 +34,15 @@ from repro.serving.request import TQARequest
 __all__ = ["AsyncBatchEvaluator"]
 
 
-class AsyncBatchEvaluator:
+class AsyncBatchEvaluator(EvaluatorCore):
     """Run benchmarks through an :class:`AsyncServer`.
 
-    Constructor knobs mirror :class:`~repro.serving.batch.BatchEvaluator`
-    where they overlap; ``max_inflight`` replaces ``workers`` as the
-    concurrency bound and ``max_queued=None`` (the default here) makes
-    evaluation lossless — batch scoring wants every answer, so nothing
-    is shed unless a bound is asked for.  ``tenant`` labels the whole
-    run for fair-queue accounting when the server is shared.
+    The shared knobs are :class:`~repro.serving.batch.BatchEvaluator`'s;
+    ``max_inflight`` replaces ``workers`` as the concurrency bound and
+    ``max_queued=None`` (the default here) makes evaluation lossless —
+    batch scoring wants every answer, so nothing is shed unless a bound
+    is asked for.  ``tenant`` labels the whole run for fair-queue
+    accounting when the server is shared.
     """
 
     def __init__(self, spec, *, max_inflight: int = 64, seed: int = 1,
@@ -51,23 +55,14 @@ class AsyncBatchEvaluator:
                  breakers: BreakerConfig | None = None,
                  tenant_weights: dict[str, float] | None = None,
                  tenant: str = "default", reflect=None):
-        self.spec = spec
+        super().__init__(spec, seed=seed, cache=cache,
+                         cache_size=cache_size, cache_ttl=cache_ttl,
+                         policy=policy, metrics=metrics, tracer=tracer,
+                         breakers=breakers, reflect=reflect)
         self.max_inflight = max_inflight
         self.max_queued = max_queued
-        self.seed = seed
-        if cache is None and cache_size > 0:
-            cache = AnswerCache(cache_size, ttl=cache_ttl)
-        self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
-        self.tracer = tracer
-        self.breakers = breakers
         self.tenant_weights = tenant_weights
         self.tenant = tenant
-        # None defers to the server's REPRO_REFLECT env switch.
-        self.reflect = reflect
-        #: Responses of the most recent evaluation, in benchmark order.
-        self.last_responses = []
 
     def evaluate(self, benchmark: Benchmark, *,
                  limit: int | None = None) -> EvalReport:
@@ -77,8 +72,7 @@ class AsyncBatchEvaluator:
     async def evaluate_async(self, benchmark: Benchmark, *,
                              limit: int | None = None) -> EvalReport:
         """Score ``benchmark`` on the running loop."""
-        examples = (benchmark.examples[:limit] if limit
-                    else benchmark.examples)
+        examples = self._examples(benchmark, limit)
         async with AsyncServer(
                 self.spec, max_inflight=self.max_inflight,
                 max_queued=self.max_queued, cache=self.cache,
@@ -93,8 +87,4 @@ class AsyncBatchEvaluator:
                 for example in examples
             ]
             responses = await asyncio.gather(*tasks)
-        self.last_responses = list(responses)
-        report = make_report(benchmark.name, len(examples))
-        for example, response in zip(examples, responses):
-            record_result(report, benchmark.name, example, response)
-        return report
+        return self._score(benchmark, examples, responses)

@@ -1,13 +1,14 @@
 """The awaitable effect handler: async model boundary, sync executors.
 
-:class:`AsyncEffectHandler` mirrors :class:`repro.engine.EffectHandler`
-effect-for-effect — same ``model_call`` spans, same token attribution,
-same deadline seam (checked before each round-trip for cheap refusal and
-after it for one-slow-call detection), same executor error envelope —
-except the model boundary is awaitable.  Executor effects stay
-synchronous: the SQL/Python sandboxes are local compute measured in
-microseconds, and running them inline preserves the sync drivers'
-step ordering exactly.
+:class:`AsyncEffectHandler` is :class:`repro.engine.driver.EffectSeam`
+with an awaitable model boundary.  The deadline check, the executor error
+envelope and the ``model_call`` token attribution are the seam's own, so
+the sync and async paths cannot drift apart; this module adds only the
+model coercion and an awaited :meth:`~AsyncEffectHandler.model_batch`
+(the :class:`~repro.aio.batcher.ContinuousBatcher`'s one model call).
+Executor effects stay synchronous: the SQL/Python sandboxes are local
+compute measured in microseconds, and running them inline preserves the
+sync drivers' step ordering exactly.
 
 Span correctness under interleaving: ``span()`` reads the ambient
 contextvars stack, and each asyncio task carries its own context copy, so
@@ -16,64 +17,33 @@ span even while hundreds of other requests' coroutines interleave on the
 same loop (pinned by ``tests/aio/test_telemetry_interleave.py``).
 
 With :mod:`repro.aio.adapter`, this module is an allowed home for direct
-``complete``/``complete_batch`` calls (``tools/lint_effects.py``).
+``complete``/``complete_batch`` calls, and for nothing else
+(``tools/lint_effects.py``).
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.aio.adapter import AsyncLanguageModel, ensure_async_model
-from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
-from repro.errors import ExecutionError, ServingTimeoutError
+from repro.engine.driver import EffectSeam
 from repro.llm.base import Completion, CompletionRequest
-from repro.telemetry.cost import estimate_tokens
 from repro.telemetry.spans import span
 
 __all__ = ["AsyncEffectHandler"]
 
 
-class AsyncEffectHandler:
+class AsyncEffectHandler(EffectSeam):
     """Performs engine effects on the event loop.
 
     ``model`` may be a sync :class:`~repro.llm.base.LanguageModel`
     (wrapped via :class:`~repro.aio.adapter.SyncModelAdapter`) or an
-    :class:`~repro.aio.adapter.AsyncLanguageModel` directly.  ``catch``
-    and ``deadline`` have the sync handler's semantics.
+    :class:`~repro.aio.adapter.AsyncLanguageModel` directly.  ``catch``,
+    ``deadline`` and ``clock`` are :class:`EffectSeam`'s.
     """
 
-    def __init__(self, model, registry, *,
-                 catch: tuple = (ExecutionError,),
-                 deadline: float | None = None,
-                 clock=time.monotonic):
-        self.model: AsyncLanguageModel = ensure_async_model(model)
-        self.registry = registry
-        self.catch = tuple(catch)
-        self.deadline = deadline
-        self._clock = clock
+    model: AsyncLanguageModel
 
-    def check_deadline(self, moment: str) -> None:
-        """Raise :class:`ServingTimeoutError` once the deadline passed."""
-        if self.deadline is not None and self._clock() >= self.deadline:
-            raise ServingTimeoutError(
-                f"attempt deadline exceeded ({moment} completion)")
-
-    # --- model boundary ------------------------------------------------------
-
-    async def model_call(self, effect: ModelCall) -> ModelResult:
-        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
-        self.check_deadline("before")
-        with span("model_call") as call:
-            completions = await self.model.complete(
-                effect.prompt, temperature=effect.temperature, n=effect.n)
-            if call is not None:
-                call.add_tokens(
-                    prompt=estimate_tokens(effect.prompt),
-                    completion=sum(estimate_tokens(c.text)
-                                   for c in completions),
-                    calls=1)
-        self.check_deadline("after")
-        return ModelResult(tuple(completions))
+    def __init__(self, model, registry, **seam):
+        super().__init__(ensure_async_model(model), registry, **seam)
 
     async def model_batch(self,
                           requests: list[CompletionRequest]
@@ -82,25 +52,7 @@ class AsyncEffectHandler:
         self.check_deadline("before")
         with span("model_call", batched=len(requests)) as call:
             batches = await self.model.complete_batch(requests)
-            if call is not None:
-                call.add_tokens(
-                    prompt=sum(estimate_tokens(r.prompt) for r in requests),
-                    completion=sum(estimate_tokens(c.text)
-                                   for batch in batches for c in batch),
-                    calls=len(requests))
+            self._charge_tokens(call, [r.prompt for r in requests],
+                                [c for batch in batches for c in batch])
         self.check_deadline("after")
         return batches
-
-    # --- executor boundary ----------------------------------------------------
-
-    def execute(self, effect: Execute) -> ExecResult:
-        """Perform one :class:`Execute`; failures become data, not raises."""
-        try:
-            executor = self.registry.get(effect.language)
-        except Exception as exc:
-            return ExecResult(error=exc, missing_executor=True)
-        try:
-            outcome = executor.execute(effect.code, list(effect.tables))
-        except self.catch as exc:
-            return ExecResult(error=exc)
-        return ExecResult(outcome=outcome)

@@ -21,9 +21,11 @@ ladder's asyncio driver plus the substrate around it:
 
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
-* chain runners (greedy and s-vote) are driven through a per-attempt
-  :class:`~repro.aio.batcher.ContinuousBatcher` (voted chains coalesce
-  their ticks, the ``REPRO_BATCH_SCHEDULER`` contract); blocking
+* chain runners are driven through a per-attempt
+  :class:`~repro.aio.driver.AsyncChainDriver` — an s-vote/ensemble
+  population whose chains coalesce their ticks (the
+  ``REPRO_BATCH_SCHEDULER`` contract), or a greedy chain as a
+  population of one — over the sync engine's effect seam; blocking
   tree/execution voters, the reflexion rung and the degraded rung run
   in worker threads via ``asyncio.to_thread``; backoff is awaited;
 * admission order under backlog is per-tenant weighted fair queueing
@@ -51,8 +53,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.aio.batcher import ContinuousBatcher
-from repro.aio.driver import drive_chain
+from repro.aio.driver import AsyncChainDriver
 from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
 from repro.errors import (
@@ -346,10 +347,10 @@ class AsyncServer:
                            seed: int):
         """One seeded attempt, dispatched by runner capability.
 
-        Chain runners (``engine_for`` / ``chain_engines``) are driven as
-        coroutines through a per-attempt continuous batcher with the
-        deadline on the handler seam; blocking voters (tree/execution)
-        take the pool's path in a worker thread via ``asyncio.to_thread``.
+        Chain runners (``chain_engines`` / ``engine_for``) are driven as
+        a population through an :class:`AsyncChainDriver` whose handler
+        carries the deadline; blocking voters (tree/execution) take the
+        pool's path in a worker thread via ``asyncio.to_thread``.
         """
         runner = self.spec.build(seed)
         deadline = self.policy.deadline()
@@ -359,26 +360,23 @@ class AsyncServer:
             # REPRO_BATCH_SCHEDULER contract, always on here).  The
             # runner's exception envelope travels with it: voting-family
             # runners swallow branch failures, the greedy chain does not.
-            batcher = ContinuousBatcher(AsyncEffectHandler(
+            driver = AsyncChainDriver(handler=AsyncEffectHandler(
                 runner.model, runner.registry, deadline=deadline,
                 catch=getattr(runner, "handler_catch",
                               (ExecutionError,))))
             engines = runner.chain_engines(table, question)
-            for _ in engines:
-                batcher.admit()    # whole population before the first tick
             with span("vote_run", method="s-vote", n=runner.n):
-                results = await asyncio.gather(
-                    *(drive_chain(engine, batcher, pre_admitted=True)
-                      for engine in engines))
+                results = await driver.run(engines)
             return runner.tally(results)
         if hasattr(runner, "engine_for"):
-            # Greedy single chain.
-            batcher = ContinuousBatcher(AsyncEffectHandler(
+            # Greedy single chain: a population of one.
+            driver = AsyncChainDriver(handler=AsyncEffectHandler(
                 runner.model, runner.registry, deadline=deadline))
             with span("agent_run", trace_id=None) as root:
                 if root is not None:
                     root.set(question=question[:120])
-                return await drive_chain(
-                    runner.engine_for(table, question), batcher)
+                (result,) = await driver.run(
+                    [runner.engine_for(table, question)])
+                return result
         self.ladder.bind_deadline(runner, deadline, chain, uid)
         return await asyncio.to_thread(runner.run, table, question)

@@ -11,8 +11,8 @@ Subcommands:
   accuracy plus the iteration histogram.
 * ``batch`` — the same evaluation through the concurrent serving layer
   (worker pool + answer cache), with serving metrics.  ``--strategy``
-  (or ``REPRO_STRATEGY``) picks any registered reasoning strategy or an
-  ``ensemble:a+b+c`` heterogeneous vote.
+  picks any registered reasoning strategy or an ``ensemble:a+b+c``
+  heterogeneous vote.
 * ``bench strategies`` — the cross-strategy evaluation matrix: every
   registered strategy plus the heterogeneous ensemble over seeded
   WikiTQ/TabFact suites, written to ``results/strategy_matrix.txt``.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.core import ReActTableAgent, make_voter
@@ -150,15 +149,15 @@ def _cmd_evaluate(args) -> int:
 def _resolve_strategy(value: str | None) -> str:
     """The effective ``--strategy`` value, validated against the registry.
 
-    Precedence: explicit flag, then ``REPRO_STRATEGY``, then the react
-    default.  Raises :class:`repro.errors.StrategyError` for unknown
-    names and malformed ensemble specs, so callers can turn it into a
-    clean usage error instead of a traceback.
+    The flag, else the react default.  Raises
+    :class:`repro.errors.StrategyError` for unknown names and malformed
+    ensemble specs, so callers can turn it into a clean usage error
+    instead of a traceback.
     """
     from repro.strategies import (get_strategy, is_ensemble_spec,
                                   parse_ensemble_spec)
 
-    strategy = value or os.environ.get("REPRO_STRATEGY") or "react"
+    strategy = value or "react"
     if is_ensemble_spec(strategy):
         parse_ensemble_spec(strategy)
     else:
@@ -188,14 +187,12 @@ def _cmd_batch(args) -> int:
     policy = RetryPolicy(timeout=args.timeout, max_retries=args.retries)
     metrics = ServingMetrics()
     tracer = ChainTracer() if args.trace else None
-    # --async (or REPRO_ASYNC_SERVER=1) swaps the thread pool for the
-    # asyncio serving core: same ladder, coroutine concurrency.
-    use_async = args.use_async or (
-        os.environ.get("REPRO_ASYNC_SERVER", "0") == "1")
     # --reflect (or REPRO_REFLECT=1) arms the reflexion rung; None
     # leaves the decision to the serving layer's env switch.
     reflect = True if args.reflect else None
-    if use_async:
+    # --async swaps the thread pool for the asyncio serving core: same
+    # ladder, coroutine concurrency.
+    if args.use_async:
         from repro.aio import AsyncBatchEvaluator
 
         evaluator = AsyncBatchEvaluator(
@@ -371,11 +368,8 @@ def _cmd_chaos(args) -> int:
     # --async runs the sweep through the asyncio serving core instead of
     # the thread pool — the rate-0 verification then proves *that*
     # ladder's fault-path passthrough is bit-identical too.
-    use_async = args.use_async or (
-        os.environ.get("REPRO_ASYNC_SERVER", "0") == "1")
-
     def build_evaluator(eval_spec, eval_metrics=None, eval_tracer=None):
-        if use_async:
+        if args.use_async:
             from repro.aio import AsyncBatchEvaluator
 
             return AsyncBatchEvaluator(
@@ -388,7 +382,7 @@ def _cmd_chaos(args) -> int:
                               metrics=eval_metrics, tracer=eval_tracer,
                               breakers=breakers)
 
-    concurrency = (f"async max_inflight={args.workers}" if use_async
+    concurrency = (f"async max_inflight={args.workers}" if args.use_async
                    else f"workers={args.workers}")
     print(f"dataset={args.dataset} model={args.model} n={len(benchmark)} "
           f"{concurrency} retries={args.retries} "
@@ -603,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts before degrading")
     batch.add_argument("--async", dest="use_async", action="store_true",
                        help="serve through the asyncio core (continuous "
-                            "batching + admission control; also enabled "
-                            "by REPRO_ASYNC_SERVER=1)")
+                            "batching + admission control)")
     batch.add_argument("--max-inflight", type=int, default=64,
                        help="async mode: concurrent in-flight request "
                             "budget")
@@ -615,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--strategy", default=None, metavar="NAME",
                        help="reasoning strategy (react, cot, "
                             "chain-of-table, commented-code) or an "
-                            "ensemble:a+b+c heterogeneous vote; defaults "
-                            "to $REPRO_STRATEGY, then react")
+                            "ensemble:a+b+c heterogeneous vote (default: "
+                            "react)")
     batch.add_argument("--reflect", action="store_true",
                        help="arm the reflexion rung: failed attempts "
                             "harvest a failure report, generate a verbal "
@@ -690,9 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=4)
     chaos.add_argument("--async", dest="use_async", action="store_true",
                        help="sweep through the asyncio serving core "
-                            "instead of the thread pool (also enabled by "
-                            "REPRO_ASYNC_SERVER=1); the rate-0 check then "
-                            "verifies that ladder's passthrough")
+                            "instead of the thread pool; the rate-0 check "
+                            "then verifies that ladder's passthrough")
     chaos.add_argument("--rates", default="0,0.05,0.2",
                        help="comma-separated per-call fault rates")
     chaos.add_argument("--fault-latency", type=float, default=0.02,

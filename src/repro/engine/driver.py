@@ -5,7 +5,9 @@ The split of responsibilities after the sans-IO refactor:
 * :class:`~repro.engine.core.ChainEngine` — *what* happens (step logic);
 * :class:`EffectHandler` — *how* one effect is performed (the only place
   in the agent stack that calls ``LanguageModel.complete`` or
-  ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this);
+  ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this).
+  Its model-free half, :class:`EffectSeam`, is shared with the async
+  core's :class:`~repro.aio.AsyncEffectHandler`;
 * :func:`run_chain` / :func:`drive` — *when* effects are performed (the
   sequencing policy: synchronous here, coalesced in
   :class:`~repro.engine.scheduler.BatchScheduler`).
@@ -25,15 +27,23 @@ from repro.engine.core import ChainEngine
 from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
 from repro.engine.result import AgentResult
 from repro.errors import ExecutionError, ServingTimeoutError
-from repro.llm.base import Completion, CompletionRequest, LanguageModel
+from repro.llm.base import Completion, CompletionRequest
 from repro.telemetry.cost import estimate_tokens
 from repro.telemetry.spans import span
 
-__all__ = ["EffectHandler", "run_chain", "drive"]
+__all__ = ["EffectSeam", "EffectHandler", "run_chain", "drive"]
 
 
-class EffectHandler:
-    """Performs effects against a model and an executor registry.
+class EffectSeam:
+    """The half of an effect handler that does not touch the model.
+
+    It owns the deadline check, the executor error envelope
+    (:meth:`execute`) and the ``model_call`` span's token attribution
+    (:meth:`_charge_tokens`).  :class:`EffectHandler` adds the
+    synchronous model boundary on top and
+    :class:`repro.aio.AsyncEffectHandler` the awaitable one.  Because the
+    seam has no model method, the async handler cannot inherit one that
+    would call an async model and hand back a coroutine.
 
     ``catch`` is the executor exception envelope: the single-chain agent
     absorbs only :class:`~repro.errors.ExecutionError` (anything else is
@@ -51,7 +61,7 @@ class EffectHandler:
     chains included — without needing a mutable ``runner.model`` to wrap.
     """
 
-    def __init__(self, model: LanguageModel, registry, *,
+    def __init__(self, model, registry, *,
                  catch: tuple = (ExecutionError,),
                  deadline: float | None = None,
                  clock=time.monotonic):
@@ -67,43 +77,18 @@ class EffectHandler:
             raise ServingTimeoutError(
                 f"attempt deadline exceeded ({moment} completion)")
 
-    # --- model boundary ------------------------------------------------------
+    @staticmethod
+    def _charge_tokens(call, prompts, completions) -> None:
+        """Charge a ``model_call`` span (``None`` when telemetry is off).
 
-    def model_call(self, effect: ModelCall) -> ModelResult:
-        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
-        self.check_deadline("before")
-        with span("model_call") as call:
-            completions = self.model.complete(
-                effect.prompt, temperature=effect.temperature, n=effect.n)
-            if call is not None:
-                call.add_tokens(
-                    prompt=estimate_tokens(effect.prompt),
-                    completion=sum(estimate_tokens(c.text)
-                                   for c in completions),
-                    calls=1)
-        self.check_deadline("after")
-        return ModelResult(tuple(completions))
-
-    def model_batch(self,
-                    requests: list[CompletionRequest]
-                    ) -> list[list[Completion]]:
-        """Perform a coalesced batch of prompts in one span.
-
-        Token attribution covers the whole batch; ``calls`` counts the
-        logical completion requests so cost summaries stay comparable
-        with the sequential path.
+        ``calls`` counts the logical completion requests, so a batched
+        tick's cost summary stays comparable with the sequential path.
         """
-        self.check_deadline("before")
-        with span("model_call", batched=len(requests)) as call:
-            batches = self.model.complete_batch(requests)
-            if call is not None:
-                call.add_tokens(
-                    prompt=sum(estimate_tokens(r.prompt) for r in requests),
-                    completion=sum(estimate_tokens(c.text)
-                                   for batch in batches for c in batch),
-                    calls=len(requests))
-        self.check_deadline("after")
-        return batches
+        if call is not None:
+            call.add_tokens(
+                prompt=sum(estimate_tokens(prompt) for prompt in prompts),
+                completion=sum(estimate_tokens(c.text) for c in completions),
+                calls=len(prompts))
 
     # --- executor boundary ----------------------------------------------------
 
@@ -122,6 +107,32 @@ class EffectHandler:
         except self.catch as exc:
             return ExecResult(error=exc)
         return ExecResult(outcome=outcome)
+
+
+class EffectHandler(EffectSeam):
+    """Performs effects against a synchronous model and a registry."""
+
+    def model_call(self, effect: ModelCall) -> ModelResult:
+        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
+        self.check_deadline("before")
+        with span("model_call") as call:
+            completions = self.model.complete(
+                effect.prompt, temperature=effect.temperature, n=effect.n)
+            self._charge_tokens(call, (effect.prompt,), completions)
+        self.check_deadline("after")
+        return ModelResult(tuple(completions))
+
+    def model_batch(self,
+                    requests: list[CompletionRequest]
+                    ) -> list[list[Completion]]:
+        """Perform a coalesced batch of prompts in one span."""
+        self.check_deadline("before")
+        with span("model_call", batched=len(requests)) as call:
+            batches = self.model.complete_batch(requests)
+            self._charge_tokens(call, [r.prompt for r in requests],
+                                [c for batch in batches for c in batch])
+        self.check_deadline("after")
+        return batches
 
 
 def _flush_notes(engine: ChainEngine, tracer) -> None:

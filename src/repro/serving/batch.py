@@ -29,15 +29,57 @@ from repro.serving.pool import WorkerPool
 __all__ = ["BatchEvaluator"]
 
 
-class BatchEvaluator:
+class EvaluatorCore:
+    """What every batch evaluator shares, whatever runs the requests.
+
+    It holds the recipe and the serving collaborators (an internal
+    :class:`AnswerCache` built from ``cache_size``/``cache_ttl`` when no
+    explicit ``cache`` is given, a default :class:`RetryPolicy` and
+    :class:`ServingMetrics`), and :meth:`_score` turns responses into a
+    sequential-grade :class:`EvalReport`.  Subclasses add their
+    substrate's knobs and submission loop.
+    """
+
+    def __init__(self, spec, *, seed, cache, cache_size, cache_ttl, policy,
+                 metrics, tracer, breakers, reflect):
+        self.spec = spec
+        self.seed = seed
+        if cache is None and cache_size > 0:
+            cache = AnswerCache(cache_size, ttl=cache_ttl)
+        self.cache = cache
+        self.policy = policy or RetryPolicy()
+        self.metrics = metrics or ServingMetrics()
+        self.tracer = tracer
+        self.breakers = breakers
+        # None defers to the serving layer's REPRO_REFLECT env switch.
+        self.reflect = reflect
+        #: Responses of the most recent evaluation, in benchmark order
+        #: (serving metadata: latency, cached, attempts, ...).
+        self.last_responses = []
+
+    @staticmethod
+    def _examples(benchmark: Benchmark, limit: int | None) -> list:
+        return benchmark.examples[:limit] if limit else benchmark.examples
+
+    def _score(self, benchmark: Benchmark, examples,
+               responses) -> EvalReport:
+        """Score ``responses`` (in ``examples`` order) like the sequential
+        runner, and keep them as :attr:`last_responses`."""
+        self.last_responses = list(responses)
+        report = make_report(benchmark.name, len(examples))
+        for example, response in zip(examples, self.last_responses):
+            record_result(report, benchmark.name, example, response)
+        return report
+
+
+class BatchEvaluator(EvaluatorCore):
     """Run benchmarks through a worker pool; produce sequential-grade reports.
 
     ``spec`` is the per-request agent recipe (see
     :class:`~repro.serving.spec.AgentSpec`); ``seed`` plays the role of
-    the sequential runner's model seed.  ``cache_size``/``cache_ttl``
-    build an internal :class:`AnswerCache` when no explicit ``cache`` is
-    given; the cache persists across :meth:`evaluate` calls, so repeated
-    evaluations of overlapping workloads get warm-cache speedups.
+    the sequential runner's model seed.  The cache persists across
+    :meth:`evaluate` calls, so repeated evaluations of overlapping
+    workloads get warm-cache speedups.
     """
 
     def __init__(self, spec, *, workers: int = 4, seed: int = 1,
@@ -49,31 +91,20 @@ class BatchEvaluator:
                  breakers: BreakerConfig | None = None,
                  batch_scheduler: bool | None = None,
                  reflect=None):
-        self.spec = spec
+        super().__init__(spec, seed=seed, cache=cache,
+                         cache_size=cache_size, cache_ttl=cache_ttl,
+                         policy=policy, metrics=metrics, tracer=tracer,
+                         breakers=breakers, reflect=reflect)
         self.workers = workers
-        self.seed = seed
-        if cache is None and cache_size > 0:
-            cache = AnswerCache(cache_size, ttl=cache_ttl)
-        self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
-        self.tracer = tracer
         self.queue_capacity = queue_capacity
-        self.breakers = breakers
         # None defers to the pool's REPRO_BATCH_SCHEDULER env switch.
         self.batch_scheduler = batch_scheduler
-        # None defers to the pool's REPRO_REFLECT env switch.
-        self.reflect = reflect
-        #: Responses of the most recent :meth:`evaluate`, in benchmark
-        #: order (serving metadata: latency, cached, attempts, ...).
-        self.last_responses = []
 
     def evaluate(self, benchmark: Benchmark, *,
                  limit: int | None = None) -> EvalReport:
         """Score ``benchmark`` through the pool; same report shape as
         :func:`~repro.evalkit.runner.evaluate_agent`."""
-        examples = (benchmark.examples[:limit] if limit
-                    else benchmark.examples)
+        examples = self._examples(benchmark, limit)
         with WorkerPool(self.spec, workers=self.workers, cache=self.cache,
                         policy=self.policy, metrics=self.metrics,
                         tracer=self.tracer,
@@ -87,8 +118,4 @@ class BatchEvaluator:
                 for example in examples
             ]
             responses = [slot.result() for slot in slots]
-        self.last_responses = responses
-        report = make_report(benchmark.name, len(examples))
-        for example, response in zip(examples, responses):
-            record_result(report, benchmark.name, example, response)
-        return report
+        return self._score(benchmark, examples, responses)

@@ -180,12 +180,13 @@ def _execute_select(stmt: SelectStatement,
     items = _expand_star(stmt, frame, joined=joined)
     terms = _order_terms(stmt.order_by, items)
     if is_aggregate_query:
+        keys = _group_terms(stmt.group_by, items, frame)
         result = _run_stage(
             "aggregate", vectorized,
-            lambda: _execute_aggregate_vector(stmt, frame, items, terms,
-                                              joined=joined),
-            lambda: _execute_aggregate(stmt, frame, alias, items, terms,
-                                       joined=joined))
+            lambda: _execute_aggregate_vector(stmt, frame, items, keys,
+                                              terms, joined=joined),
+            lambda: _execute_aggregate(stmt, frame, alias, items, keys,
+                                       terms, joined=joined))
     else:
         result = _run_stage(
             "plain", vectorized,
@@ -459,11 +460,51 @@ def _order_terms(order_by: tuple[OrderItem, ...],
     return terms
 
 
+def _group_terms(group_by: tuple[Expression, ...],
+                 items: list[SelectItem],
+                 frame: DataFrame) -> list[Expression]:
+    """Resolve GROUP BY against the select list, for both tiers.
+
+    A bare name that is not a source column but is a select-list alias,
+    or an integer literal (SQLite's 1-based column number, as in
+    :func:`_order_terms`), groups by that select item's expression;
+    anything else — ``1.0`` and ``1+0`` included — is grouped by as
+    written.  An out-of-range column number, or a term that resolves to
+    an aggregate, raises SQLite's error.
+    """
+    aliases = {item.alias: item.expression for item in items if item.alias}
+    keys = []
+    for number, expr in enumerate(group_by, start=1):
+        if isinstance(expr, ColumnRef):
+            if (expr.table is None and expr.name not in frame
+                    and expr.name in aliases):
+                expr = aliases[expr.name]
+        else:
+            column = _column_number(expr)
+            if column is not None:
+                if not 1 <= column <= len(items):
+                    raise SQLRuntimeError(
+                        f"{_ordinal(number)} GROUP BY term out of range "
+                        f"- should be between 1 and {len(items)}")
+                expr = items[column - 1].expression
+        if expression_uses_aggregate(expr):
+            raise SQLRuntimeError(
+                "aggregate functions are not allowed in the GROUP BY "
+                "clause")
+        keys.append(expr)
+    return keys
+
+
 def _column_number(expr: Expression) -> int | None:
-    """The integer a signed/parenthesized integer literal spells, else None."""
+    """The integer a signed/parenthesized integer literal spells, else None.
+
+    Like SQLite, only a literal that fits a signed 32-bit int counts;
+    a larger one is a constant.
+    """
     if isinstance(expr, Literal):
         value = expr.value
-        if isinstance(value, int) and not isinstance(value, bool):
+        if (isinstance(value, int) and not isinstance(value, bool)
+                and value < 2 ** 31):
             return value
         return None
     if isinstance(expr, UnaryOp) and expr.op in ("+", "-"):
@@ -543,7 +584,8 @@ def _execute_plain_vector(frame: DataFrame, items: list[SelectItem],
 
 
 def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
-                              items: list[SelectItem], terms: list[tuple],
+                              items: list[SelectItem],
+                              keys: list[Expression], terms: list[tuple],
                               *, joined: bool = False) -> DataFrame | None:
     """Single-pass vectorized GROUP BY/aggregates; None = fall back.
 
@@ -577,25 +619,19 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
             return None
 
     key_plan = []
-    if stmt.group_by:
-        for expr in stmt.group_by:
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in frame
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
-            if isinstance(expr, ColumnRef):
-                key_plan.append(expr)
-            else:
-                fn = compile_vector(expr, shape)
-                if fn is None:
-                    return None
-                key_plan.append(fn)
+    for expr in keys:
+        if isinstance(expr, ColumnRef):
+            key_plan.append(expr)
+        else:
+            fn = compile_vector(expr, shape)
+            if fn is None:
+                return None
+            key_plan.append(fn)
 
     names = _output_names(items)
     groups: list[list[int]] = []
     ctx = VectorContext(frame)
-    if stmt.group_by:
+    if keys:
         key_columns = []
         for planned_key in key_plan:
             if isinstance(planned_key, ColumnRef):
@@ -685,7 +721,7 @@ def _execute_plain(frame: DataFrame, alias: str | None,
 
 def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
                        alias: str | None, items: list[SelectItem],
-                       terms: list[tuple], *,
+                       keys: list[Expression], terms: list[tuple], *,
                        joined: bool = False) -> DataFrame:
     names = _output_names(items)
 
@@ -693,15 +729,10 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
         item.alias: item.expression for item in items if item.alias}
 
     groups: list[DataFrame] = []
-    if stmt.group_by:
+    if keys:
         key_names = []
         working = frame.copy()
-        for position, expr in enumerate(stmt.group_by):
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in working
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
+        for position, expr in enumerate(keys):
             if isinstance(expr, ColumnRef):
                 if joined:
                     key_names.append(resolve_joined_name(

@@ -3,11 +3,12 @@
 A seeded query generator builds hundreds of SELECTs over
 :mod:`repro.datasets.tablegen` frames — filters, grouped aggregates
 (single- and multi-key), HAVING (including pushable key conjuncts),
-ORDER BY (by expression, alias and column number), LIMIT/OFFSET,
-scalar functions, CASE, self-joins, inner and LEFT joins against a
-second table, and deliberately broken references — and asserts both
-execution tiers agree *exactly*: same columns, same rows, and for
-failing queries the same error class and message.
+ORDER BY (by expression, alias and column number), GROUP BY column
+numbers, LIMIT/OFFSET, scalar functions, CASE, self-joins, inner and
+LEFT joins against a second table, and deliberately broken
+references — and asserts both execution tiers agree *exactly*: same
+columns, same rows, and for failing queries the same error class and
+message.
 
 The two tiers:
 
@@ -184,9 +185,8 @@ def _random_query(rng: random.Random, frame: DataFrame) -> str:
     ])
 
 
-def _order_by_position_queries(rng: random.Random,
-                               frame: DataFrame) -> list[str]:
-    """ORDER BY column numbers, in and out of range, on every frame."""
+def _position_queries(rng: random.Random, frame: DataFrame) -> list[str]:
+    """ORDER BY and GROUP BY column numbers, in and out of range."""
     num = rng.choice(_numeric_columns(frame))
     cat = rng.choice(_text_columns(frame))
     return [
@@ -196,6 +196,11 @@ def _order_by_position_queries(rng: random.Random,
         f"SELECT {cat} FROM T0 ORDER BY 1.0, 1 + 0, +1 DESC",
         f"SELECT {num}, {cat} FROM T0 ORDER BY {num}, "
         f"{rng.choice([0, -1, 3])}",
+        f"SELECT {cat}, COUNT(*) AS n FROM T0 GROUP BY 1 ORDER BY 2 DESC",
+        f"SELECT {cat}, {num}, SUM({num}) FROM T0 GROUP BY (1), +2",
+        f"SELECT {cat}, COUNT(*) FROM T0 GROUP BY 1.0",
+        f"SELECT {cat}, COUNT(*) FROM T0 GROUP BY "
+        f"{rng.choice([0, -1, 2, 3])}",
     ]
 
 
@@ -247,7 +252,7 @@ def test_three_tiers_agree(frame_seed, nulled):
     catalog = {"T0": frame, "T1": _lookup_table(frame)}
     rng = random.Random(frame_seed * 7 + 1)
     queries = [_random_query(rng, frame) for _ in range(QUERIES_PER_FRAME)]
-    queries += _order_by_position_queries(rng, frame)
+    queries += _position_queries(rng, frame)
     succeeded = 0
     for sql in queries:
         outcomes = [(name, _outcome(sql, catalog, env))

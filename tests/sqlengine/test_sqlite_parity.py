@@ -80,6 +80,61 @@ def test_order_by_out_of_range_matches_sqlite(catalog, sql):
     assert str(native.value) == str(expected.value)
 
 
+#: ``b`` repeats, so grouping by it (or not) shows in the row count.
+GROUPED = {"T0": DataFrame({"a": [1, 2, 3, 4, 5],
+                            "b": ["x", "y", "x", "z", "y"]})}
+TIERS = pytest.mark.parametrize("tier", ["1", "0"],
+                                ids=["vector", "interpreted"])
+
+
+@TIERS
+@pytest.mark.parametrize("sql", [
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 1",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY (1)",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY +1",
+    "SELECT a % 2 AS p, SUM(a) FROM T0 GROUP BY 1",
+    "SELECT * FROM T0 GROUP BY 2",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 1 HAVING b <> 'z'",
+    "SELECT b, a > 2, COUNT(*) FROM T0 GROUP BY 1, 2",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 1.0",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 1 + 0",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 2147483648",
+])
+def test_group_by_position_matches_sqlite(monkeypatch, tier, sql):
+    monkeypatch.setenv("REPRO_SQL_VECTOR", tier)
+    native = execute_sql(sql, GROUPED).to_rows()
+    sqlite = run_sqlite_query(sql, GROUPED).to_rows()
+    # Same groups; the order of tied groups is a separate, known gap.
+    assert sorted(native) == sorted(sqlite)
+
+
+@TIERS
+@pytest.mark.parametrize("sql", [
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 3",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 0",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY -1",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY b, 3",
+    "SELECT b, COUNT(*) FROM T0 WHERE a > 9 GROUP BY 3",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 2",
+    "SELECT b, 1 + COUNT(*) FROM T0 GROUP BY 2",
+    "SELECT b, COUNT(*) AS c FROM T0 GROUP BY c",
+    "SELECT b, COUNT(*) FROM T0 GROUP BY 3 ORDER BY 5",
+])
+def test_group_by_position_errors_match_sqlite(monkeypatch, tier, sql):
+    monkeypatch.setenv("REPRO_SQL_VECTOR", tier)
+    with pytest.raises(sqlite3.OperationalError) as expected:
+        run_sqlite_query(sql, GROUPED)
+    with pytest.raises(SQLRuntimeError) as native:
+        execute_sql(sql, GROUPED)
+    assert str(native.value) == str(expected.value)
+
+
+def test_group_by_position_groups_by_the_column():
+    rows = execute_sql("SELECT b, COUNT(*) FROM T0 GROUP BY 1",
+                       GROUPED).to_rows()
+    assert sorted(rows) == [("x", 2), ("y", 2), ("z", 1)]
+
+
 @pytest.mark.parametrize("expr", [
     "ROUND(2.5)",
     "ROUND(-2.5)",

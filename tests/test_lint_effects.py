@@ -66,6 +66,23 @@ def test_lint_ignores_plan_and_cursor_execute():
     assert lint.scan_lines("cli.py", lines) == []
 
 
+def test_async_model_homes_may_not_execute():
+    """aio/handler.py and aio/adapter.py may call the model, but an
+    executor call anywhere under aio/ bypasses the inherited seam."""
+    lint = load_lint()
+    model_line = "    batches = await self.model.complete_batch(requests)"
+    registry_line = "    out = self.registry.get(lang).execute(code, tables)"
+    for relpath in ("aio/handler.py", "aio/adapter.py"):
+        assert lint.scan_lines(relpath, [model_line]) == []
+    for relpath in ("aio/handler.py", "aio/driver.py", "aio/server.py"):
+        violations = lint.scan_lines(relpath, [registry_line])
+        assert len(violations) == 1
+        assert "executor call" in violations[0]
+    assert lint.scan_lines("aio/driver.py", [model_line]) != []
+    assert lint.scan_lines(
+        "engine/driver.py", [registry_line, model_line]) == []
+
+
 def test_allowed_paths_are_skipped(tmp_path):
     lint = load_lint()
     rogue = "def f(m, p):\n    return m.complete(p)\n"

@@ -15,8 +15,7 @@ those files for known blocking primitives:
   loop would block for a whole round-trip; await the
   :class:`repro.aio.adapter.AsyncLanguageModel` protocol instead
   (``aio/adapter.py`` itself is exempt: it *is* the sync bridge, and
-  it either runs inline against compute-only models or offloads via
-  ``asyncio.to_thread``);
+  it runs inline against compute-only models);
 * ``requests.`` / ``urllib.request`` / ``socket.create_connection`` —
   blocking network I/O.
 
